@@ -123,16 +123,18 @@ ArmResult run_fixed(const std::string& code, const Scenario& sc,
                                            channel::Modulation::kQpsk,
                                            sc.burst, kInterleaveDepth);
   pipe->set_soft_decision(true);
-  pipe->set_thread_pool(pool);
-  std::vector<Rng> rngs;
+  std::vector<std::uint64_t> keys;
   std::vector<std::uint64_t> slots;
   Rng base(9090);
   for (std::size_t i = 0; i < kMessages; ++i) {
-    rngs.push_back(base.fork(i));
+    Rng fork = base.fork(i);
+    keys.push_back(common::noise_key(fork));
     slots.push_back(i);
   }
+  channel::PipelineStats sink;
   const std::vector<BitVec> received =
-      pipe->transmit_batch(w.payloads, rngs, slots);
+      pipe->transmit_batch(w.payloads, keys, slots, sink, pool);
+  pipe->fold_stats(sink);
   ArmResult r;
   const DecodeResult q = decode_quality(codec, quantizer, w, received);
   r.accuracy = q.accuracy;

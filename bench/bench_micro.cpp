@@ -12,10 +12,13 @@
 #include "channel/convolutional.hpp"
 #include "channel/modulation.hpp"
 #include "channel/physical.hpp"
+#include "channel/pipeline.hpp"
 #include "common/cpu.hpp"
+#include "common/noise.hpp"
 #include "compress/huffman.hpp"
 #include "edge/sim.hpp"
 #include "fl/compressor.hpp"
+#include "nn/loss.hpp"
 #include "select/gru_classifier.hpp"
 #include "semantic/codec.hpp"
 #include "semantic/quantizer.hpp"
@@ -570,6 +573,111 @@ static void BM_ChannelBatchSimd(benchmark::State& state) {
   common::set_simd_tier(prev);
 }
 BENCHMARK(BM_ChannelBatchSimd)->Arg(0)->Arg(1);
+
+// Per-message channel noise on the serving path: one keyed NoiseStream
+// (the key a served message gets) distorting 112 QPSK symbols — the 224
+// coded bits of a Hamming(7,4) serving payload — at 10 dB.
+static void BM_ChannelNoise(benchmark::State& state) {
+  Rng bits_rng(5);
+  BitVec bits(224);
+  for (auto& b : bits) b = bits_rng.bernoulli(0.5) ? 1 : 0;
+  const std::vector<channel::Symbol> clean =
+      channel::modulate(bits, channel::Modulation::kQpsk);
+  const channel::AwgnChannel awgn(10.0);
+  std::vector<channel::Symbol> symbols;
+  std::uint64_t ordinal = 0;
+  for (auto _ : state) {
+    symbols = clean;
+    common::NoiseStream noise(channel::message_noise_key(91, ordinal++));
+    awgn.distort(symbols, noise, ordinal);
+    benchmark::DoNotOptimize(symbols.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ChannelNoise);
+
+// One message's mismatch (③): the forward-only cross-entropy over its
+// 8 x 80 decoder logits (sentence length 8, 4 domains x 20 meanings).
+// Arg(0) pins the scalar twin, Arg(1) the AVX2 tier; the two return the
+// same bits (test_simd), so the rows differ in wall time only.
+static void BM_MismatchCE(benchmark::State& state) {
+  const auto tier = state.range(0) == 0 ? common::SimdTier::kScalar
+                                        : common::SimdTier::kAvx2;
+  const common::SimdTier prev = common::set_simd_tier(tier);
+  constexpr std::size_t kRows = 8;
+  constexpr std::size_t kVocab = 80;
+  Rng rng(13);
+  const tensor::Tensor logits = tensor::Tensor::uniform({kRows, kVocab}, 4.0f, rng);
+  std::vector<std::int32_t> targets(kRows);
+  for (auto& t : targets) {
+    t = static_cast<std::int32_t>(rng.uniform_int(0, kVocab - 1));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        nn::cross_entropy_mean(logits.data(), kRows, kVocab, targets));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel(common::simd_tier_name(common::active_simd_tier()));
+  common::set_simd_tier(prev);
+}
+BENCHMARK(BM_MismatchCE)->Arg(0)->Arg(1);
+
+// The soft-decision serving path BM_TransmitBatch does not exercise:
+// BM_TransmitBatch's system with conv_k3_r12 over QPSK/AWGN at 4 dB and
+// LLR (soft Viterbi) decoding; arg = batch size. Under SEMCACHE_SOFT=off
+// the system resolves to hard decisions and the label says so.
+static void BM_TransmitBatchSoftConv(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  static core::SemanticEdgeSystem* system = [] {
+    core::SystemConfig config;
+    config.seed = 91;
+    config.world.num_domains = 2;
+    config.world.sentence_length = 8;
+    config.codec.embed_dim = 20;
+    config.codec.feature_dim = 16;
+    config.codec.hidden_dim = 48;
+    config.pretrain.steps = 200;  // throughput bench: accuracy irrelevant
+    config.oracle_selection = true;
+    config.buffer_trigger = 64;  // > max batch: no fine-tune in the loop
+    config.buffer_capacity = 64;
+    config.channel.code = "conv_k3_r12";
+    config.channel.snr_db = 4.0;
+    config.channel.soft_decision = true;
+    auto built = core::SemanticEdgeSystem::build(config);
+    built->register_user("s", 0, nullptr);
+    built->register_user("r", 1, nullptr);
+    return built.release();
+  }();
+  static const std::vector<text::Sentence>* pool = [] {
+    auto* msgs = new std::vector<text::Sentence>;
+    for (int i = 0; i < 32; ++i) {
+      msgs->push_back(system->sample_message("s", 0));
+    }
+    return msgs;
+  }();
+
+  system->transmit_many("s", "r", {pool->front()},
+                        [](std::size_t, core::TransmitReport) {});
+  system->simulator().run();
+  auto* buffer = system->edge_state(0).find_slot("s", 0)->buffer.get();
+  buffer->clear();
+
+  for (auto _ : state) {
+    std::vector<text::Sentence> batch(
+        pool->begin(), pool->begin() + static_cast<std::ptrdiff_t>(count));
+    system->transmit_many("s", "r", std::move(batch),
+                          [](std::size_t, core::TransmitReport) {});
+    system->simulator().run();
+    state.PauseTiming();
+    buffer->clear();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(count));
+  state.SetLabel(channel::resolve_soft_decision(true) ? "soft" : "hard");
+}
+BENCHMARK(BM_TransmitBatchSoftConv)->Arg(1)->Arg(8);
 
 static void BM_Modulate16Qam(benchmark::State& state) {
   Rng rng(9);

@@ -41,19 +41,18 @@ bool GilbertElliottChannel::starts_bad(std::uint64_t slot) const {
   return common::to_unit_interval(h) < cfg_.bad_weather_prob;
 }
 
-void GilbertElliottChannel::apply(std::vector<Symbol>& symbols, Rng& rng) {
-  apply_slot(symbols, rng, 0);
-}
-
-void GilbertElliottChannel::apply_slot(std::vector<Symbol>& symbols, Rng& rng,
-                                       std::uint64_t slot) {
+void GilbertElliottChannel::distort(std::span<Symbol> symbols,
+                                    common::NoiseStream& noise,
+                                    std::uint64_t slot) const {
   bool bad = starts_bad(slot);
   for (std::size_t s = 0; s < symbols.size(); ++s) {
     const double sigma = bad ? sigma_bad_ : sigma_good_;
-    symbols[s] += Symbol(rng.gaussian(0.0, sigma), rng.gaussian(0.0, sigma));
+    const double re = noise.gaussian();
+    const double im = noise.gaussian();
+    symbols[s] += Symbol(sigma * re, sigma * im);
     // Transition AFTER the symbol so the epoch weather governs symbol 0.
-    // The coin is keyed, not drawn from `rng`: the chain path is a pure
-    // function of (seed, slot, s), and the message RNG spends exactly two
+    // The coin is keyed, not drawn from `noise`: the chain path is a pure
+    // function of (seed, slot, s), and the stream spends exactly two
     // gaussians per symbol regardless of the path taken.
     const double u = common::to_unit_interval(
         common::identity_mix(cfg_.seed, kChainTag, slot, s, bad ? 1 : 0));

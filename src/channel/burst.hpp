@@ -8,9 +8,9 @@
 //  * fast intra-message chain: per-symbol state transitions are keyed by
 //    (slot, symbol index), so the burst structure inside a message is
 //    deterministic too.
-// Gaussian noise samples still come from the caller's per-message RNG in
-// symbol order (exactly like AwgnChannel), only the per-symbol sigma is
-// driven by the chain.
+// Gaussian samples come from the message's keyed NoiseStream, two per
+// symbol in symbol order (exactly like AwgnChannel); only the per-symbol
+// sigma is driven by the chain.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +35,8 @@ class GilbertElliottChannel final : public SymbolChannel {
  public:
   explicit GilbertElliottChannel(const GilbertElliottConfig& cfg);
 
-  void apply(std::vector<Symbol>& symbols, Rng& rng) override;
-  void apply_slot(std::vector<Symbol>& symbols, Rng& rng,
-                  std::uint64_t slot) override;
+  void distort(std::span<Symbol> symbols, common::NoiseStream& noise,
+               std::uint64_t slot) const override;
   std::string name() const override;
 
   const GilbertElliottConfig& config() const { return cfg_; }

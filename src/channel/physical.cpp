@@ -5,7 +5,6 @@
 #include <sstream>
 #include <vector>
 
-#include "channel/simd.hpp"
 #include "common/check.hpp"
 
 namespace semcache::channel {
@@ -22,21 +21,14 @@ double noise_sigma(double snr_db) {
 AwgnChannel::AwgnChannel(double snr_db)
     : snr_db_(snr_db), sigma_(noise_sigma(snr_db)) {}
 
-void AwgnChannel::apply(std::vector<Symbol>& symbols, Rng& rng) {
-  // Draw the gaussian pairs into a buffer in the original per-symbol order
-  // (the RNG stream is byte-identical to the old fused loop), then add.
-  // Complex addition is elementwise over (re, im), so the buffered add —
-  // scalar or vectorized — changes no bits. The buffer is thread-local:
-  // batched transmit drives one AwgnChannel per worker.
-  static thread_local std::vector<double> noise;
-  noise.resize(2 * symbols.size());
-  for (double& v : noise) v = rng.gaussian(0.0, sigma_);
-  double* data = reinterpret_cast<double*>(symbols.data());
-  const detail::Avx2ChannelKernels* k = detail::engaged_channel_kernels();
-  if (k != nullptr) {
-    k->add_noise(data, noise.data(), noise.size());
-  } else {
-    for (std::size_t i = 0; i < noise.size(); ++i) data[i] += noise[i];
+void AwgnChannel::distort(std::span<Symbol> symbols,
+                          common::NoiseStream& noise,
+                          std::uint64_t /*slot*/) const {
+  // One gaussian per dimension in symbol order: re, then im.
+  for (Symbol& s : symbols) {
+    const double re = noise.gaussian();
+    const double im = noise.gaussian();
+    s += Symbol(sigma_ * re, sigma_ * im);
   }
 }
 
@@ -51,17 +43,23 @@ RayleighChannel::RayleighChannel(double snr_db, std::size_t block_len)
   SEMCACHE_CHECK(block_len >= 1, "rayleigh: block_len must be >= 1");
 }
 
-void RayleighChannel::apply(std::vector<Symbol>& symbols, Rng& rng) {
+void RayleighChannel::distort(std::span<Symbol> symbols,
+                              common::NoiseStream& noise,
+                              std::uint64_t /*slot*/) const {
+  const double fade_sigma = std::sqrt(0.5);
   for (std::size_t start = 0; start < symbols.size(); start += block_len_) {
     // h ~ CN(0, 1): real/imag each N(0, 1/2).
-    const Symbol h(rng.gaussian(0.0, std::sqrt(0.5)),
-                   rng.gaussian(0.0, std::sqrt(0.5)));
+    const double h_re = noise.gaussian();
+    const double h_im = noise.gaussian();
+    const Symbol h(fade_sigma * h_re, fade_sigma * h_im);
     // Guard against pathological zero fades (equalizer would blow up).
     const Symbol h_safe = std::abs(h) < 1e-6 ? Symbol(1e-6, 0.0) : h;
     const std::size_t end = std::min(start + block_len_, symbols.size());
     for (std::size_t i = start; i < end; ++i) {
       Symbol y = h_safe * symbols[i];
-      y += Symbol(rng.gaussian(0.0, sigma_), rng.gaussian(0.0, sigma_));
+      const double n_re = noise.gaussian();
+      const double n_im = noise.gaussian();
+      y += Symbol(sigma_ * n_re, sigma_ * n_im);
       symbols[i] = y / h_safe;  // perfect-CSI zero-forcing equalizer
     }
   }
@@ -78,12 +76,16 @@ BscChannel::BscChannel(double flip_probability) : p_(flip_probability) {
                  "bsc: flip probability must be in [0, 0.5]");
 }
 
-BitVec BscChannel::transmit(const BitVec& bits, Rng& rng) {
-  BitVec out = bits;
-  for (std::uint8_t& b : out) {
-    if (rng.bernoulli(p_)) b ^= 1;
+bool BscChannel::carry(const BitVec& bits, common::NoiseStream& noise,
+                       std::uint64_t /*slot*/, BitVec& hard,
+                       std::vector<float>* /*llrs*/,
+                       ChannelObservation* /*obs*/) const {
+  // No soft output: always hard, one uniform per bit.
+  hard = bits;
+  for (std::uint8_t& b : hard) {
+    if (noise.uniform() < p_) b ^= 1;
   }
-  return out;
+  return false;
 }
 
 std::string BscChannel::name() const {
@@ -98,25 +100,18 @@ ModulatedChannel::ModulatedChannel(Modulation m,
   SEMCACHE_CHECK(channel_ != nullptr, "modulated channel: null symbol channel");
 }
 
-BitVec ModulatedChannel::transmit(const BitVec& bits, Rng& rng) {
-  return transmit_slot(bits, rng, 0);
-}
-
-BitVec ModulatedChannel::transmit_slot(const BitVec& bits, Rng& rng,
-                                       std::uint64_t slot) {
+bool ModulatedChannel::carry(const BitVec& bits, common::NoiseStream& noise,
+                             std::uint64_t slot, BitVec& hard,
+                             std::vector<float>* llrs,
+                             ChannelObservation* obs) const {
   std::vector<Symbol> symbols = modulate(bits, mod_);
-  channel_->apply_slot(symbols, rng, slot);
-  return demodulate(symbols, mod_, bits.size());
-}
-
-bool ModulatedChannel::transmit_soft(const BitVec& bits, Rng& rng,
-                                     std::uint64_t slot,
-                                     std::vector<float>& llrs,
-                                     ChannelObservation* obs) {
-  std::vector<Symbol> symbols = modulate(bits, mod_);
-  channel_->apply_slot(symbols, rng, slot);
-  demap_soft_into(llrs, symbols.data(), symbols.size(), mod_);
-  llrs.resize(bits.size());  // drop LLRs of modulation pad bits
+  channel_->distort(symbols, noise, slot);
+  if (llrs == nullptr) {
+    hard = demodulate(symbols, mod_, bits.size());
+    return false;
+  }
+  demap_soft_into(*llrs, symbols.data(), symbols.size(), mod_);
+  llrs->resize(bits.size());  // drop LLRs of modulation pad bits
   if (obs != nullptr) *obs = observe_symbols(symbols, mod_);
   return true;
 }

@@ -6,8 +6,10 @@
 #pragma once
 
 #include <memory>
+#include <span>
 
 #include "channel/modulation.hpp"
+#include "common/noise.hpp"
 #include "common/rng.hpp"
 
 namespace semcache::channel {
@@ -19,17 +21,26 @@ class SymbolChannel {
   SymbolChannel(const SymbolChannel&) = delete;
   SymbolChannel& operator=(const SymbolChannel&) = delete;
 
-  /// Distort symbols in place.
-  virtual void apply(std::vector<Symbol>& symbols, Rng& rng) = 0;
-  /// Slot-aware apply: `slot` is the caller's global message index (the
-  /// same ordinal that keys the per-message RNG forks), which lets a
-  /// channel with memory — the Gilbert–Elliott burst model — evolve its
-  /// state across messages deterministically under any thread or shard
-  /// count. Memoryless channels ignore the slot.
-  virtual void apply_slot(std::vector<Symbol>& symbols, Rng& rng,
-                          std::uint64_t slot) {
-    (void)slot;
-    apply(symbols, rng);
+  /// Distort symbols in place with noise drawn from `noise`. `slot` is the
+  /// message's global ordinal (the same ordinal that keys the serving
+  /// path's noise stream), which lets a channel with memory — the
+  /// Gilbert–Elliott burst model — evolve its state across messages
+  /// deterministically under any thread or shard count. Memoryless
+  /// channels ignore it. Const: channel parameters are read-only and all
+  /// working state lives in the stream, so one channel serves concurrent
+  /// messages.
+  virtual void distort(std::span<Symbol> symbols, common::NoiseStream& noise,
+                       std::uint64_t slot) const = 0;
+
+  /// Rng adapters: key one NoiseStream from `rng` (common::noise_key) and
+  /// distort with it.
+  void apply(std::vector<Symbol>& symbols, Rng& rng) const {
+    apply_slot(symbols, rng, 0);
+  }
+  void apply_slot(std::vector<Symbol>& symbols, Rng& rng,
+                  std::uint64_t slot) const {
+    common::NoiseStream noise(common::noise_key(rng));
+    distort(symbols, noise, slot);
   }
   virtual std::string name() const = 0;
 };
@@ -51,7 +62,8 @@ ChannelObservation observe_symbols(const std::vector<Symbol>& received,
 class AwgnChannel final : public SymbolChannel {
  public:
   explicit AwgnChannel(double snr_db);
-  void apply(std::vector<Symbol>& symbols, Rng& rng) override;
+  void distort(std::span<Symbol> symbols, common::NoiseStream& noise,
+               std::uint64_t slot) const override;
   std::string name() const override;
   double snr_db() const { return snr_db_; }
 
@@ -67,7 +79,8 @@ class AwgnChannel final : public SymbolChannel {
 class RayleighChannel final : public SymbolChannel {
  public:
   RayleighChannel(double snr_db, std::size_t block_len = 32);
-  void apply(std::vector<Symbol>& symbols, Rng& rng) override;
+  void distort(std::span<Symbol> symbols, common::NoiseStream& noise,
+               std::uint64_t slot) const override;
   std::string name() const override;
 
  private:
@@ -83,32 +96,26 @@ class BitChannel {
   BitChannel(const BitChannel&) = delete;
   BitChannel& operator=(const BitChannel&) = delete;
 
-  /// Implementations must be safe for concurrent transmit() calls with
-  /// DISTINCT rngs (read-only channel parameters, all working state local
-  /// or in the rng): ChannelPipeline::transmit_batch runs per-message
-  /// passes on a worker pool. All in-tree channels qualify.
-  virtual BitVec transmit(const BitVec& bits, Rng& rng) = 0;
-  /// Slot-aware transmit (see SymbolChannel::apply_slot). The default
-  /// drops the slot, so memoryless channels behave exactly as before.
-  virtual BitVec transmit_slot(const BitVec& bits, Rng& rng,
-                               std::uint64_t slot) {
-    (void)slot;
-    return transmit(bits, rng);
-  }
-  /// Soft-output transmit: on success fills `llrs` with one LLR per input
-  /// bit (sign convention: llr >= 0 decodes to 1, matching the hard
-  /// slicers) and, when `obs` is non-null, a decision-directed channel
-  /// observation. Returns false when the channel has no soft output (BSC),
-  /// in which case the caller falls back to the hard path.
-  virtual bool transmit_soft(const BitVec& bits, Rng& rng, std::uint64_t slot,
-                             std::vector<float>& llrs,
-                             ChannelObservation* obs) {
-    (void)bits;
-    (void)rng;
-    (void)slot;
-    (void)llrs;
-    (void)obs;
-    return false;
+  /// Carry `bits` across the channel with noise drawn from `noise` (`slot`
+  /// as in SymbolChannel::distort). When `llrs` is non-null and the channel
+  /// has a soft output, fills `*llrs` with one LLR per input bit (sign
+  /// convention: llr >= 0 decodes to 1, matching the hard slicers) and,
+  /// when `obs` is non-null, a decision-directed channel observation, and
+  /// returns true. Otherwise — hard mode, or a channel without a soft
+  /// output (BSC) — writes the hard decisions to `hard` and returns false.
+  /// Const and stream-local like SymbolChannel::distort: ChannelPipeline::
+  /// transmit_batch runs per-message passes on a worker pool.
+  virtual bool carry(const BitVec& bits, common::NoiseStream& noise,
+                     std::uint64_t slot, BitVec& hard,
+                     std::vector<float>* llrs,
+                     ChannelObservation* obs) const = 0;
+
+  /// Rng adapter: hard decisions at slot 0, noise keyed by one draw.
+  BitVec transmit(const BitVec& bits, Rng& rng) const {
+    common::NoiseStream noise(common::noise_key(rng));
+    BitVec hard;
+    carry(bits, noise, 0, hard, nullptr, nullptr);
+    return hard;
   }
   virtual std::string name() const = 0;
 };
@@ -117,7 +124,9 @@ class BitChannel {
 class BscChannel final : public BitChannel {
  public:
   explicit BscChannel(double flip_probability);
-  BitVec transmit(const BitVec& bits, Rng& rng) override;
+  bool carry(const BitVec& bits, common::NoiseStream& noise,
+             std::uint64_t slot, BitVec& hard, std::vector<float>* llrs,
+             ChannelObservation* obs) const override;
   std::string name() const override;
   double flip_probability() const { return p_; }
 
@@ -129,12 +138,9 @@ class BscChannel final : public BitChannel {
 class ModulatedChannel final : public BitChannel {
  public:
   ModulatedChannel(Modulation m, std::unique_ptr<SymbolChannel> channel);
-  BitVec transmit(const BitVec& bits, Rng& rng) override;
-  BitVec transmit_slot(const BitVec& bits, Rng& rng,
-                       std::uint64_t slot) override;
-  bool transmit_soft(const BitVec& bits, Rng& rng, std::uint64_t slot,
-                     std::vector<float>& llrs,
-                     ChannelObservation* obs) override;
+  bool carry(const BitVec& bits, common::NoiseStream& noise,
+             std::uint64_t slot, BitVec& hard, std::vector<float>* llrs,
+             ChannelObservation* obs) const override;
   std::string name() const override;
   Modulation modulation() const { return mod_; }
 

@@ -27,8 +27,9 @@ BitVec ChannelPipeline::transmit(const BitVec& payload, Rng& rng) {
 BitVec ChannelPipeline::transmit_at(const BitVec& payload, Rng& rng,
                                     std::uint64_t slot,
                                     ChannelObservation* obs) {
+  common::NoiseStream noise(common::noise_key(rng));
   std::size_t airtime_bits = 0;
-  BitVec decoded = transmit_one(payload, rng, airtime_bits, slot, obs);
+  BitVec decoded = transmit_one(payload, noise, airtime_bits, slot, obs);
   stats_.payload_bits += payload.size();
   stats_.airtime_bits += airtime_bits;
   stats_.messages += 1;
@@ -36,48 +37,30 @@ BitVec ChannelPipeline::transmit_at(const BitVec& payload, Rng& rng,
 }
 
 std::vector<BitVec> ChannelPipeline::transmit_batch(
-    const std::vector<BitVec>& payloads, std::span<Rng> rngs) {
-  return transmit_batch_collect(payloads, rngs, {}, stats_, pool_);
-}
-
-std::vector<BitVec> ChannelPipeline::transmit_batch(
-    const std::vector<BitVec>& payloads, std::span<Rng> rngs,
-    std::span<const std::uint64_t> slots) {
-  return transmit_batch_collect(payloads, rngs, slots, stats_, pool_);
-}
-
-std::vector<BitVec> ChannelPipeline::transmit_batch_collect(
-    const std::vector<BitVec>& payloads, std::span<Rng> rngs,
-    PipelineStats& sink, common::ThreadPool* pool) const {
-  return transmit_batch_collect(payloads, rngs, {}, sink, pool);
-}
-
-std::vector<BitVec> ChannelPipeline::transmit_batch_collect(
-    const std::vector<BitVec>& payloads, std::span<Rng> rngs,
+    const std::vector<BitVec>& payloads, std::span<const std::uint64_t> keys,
     std::span<const std::uint64_t> slots, PipelineStats& sink,
     common::ThreadPool* pool) const {
   SEMCACHE_CHECK(slots.empty() || slots.size() == payloads.size(),
                  "pipeline: transmit_batch slots span must be empty or match "
                  "the payload count");
-  SEMCACHE_CHECK(payloads.size() == rngs.size(),
-                 "pipeline: transmit_batch needs one rng per payload (" +
+  SEMCACHE_CHECK(payloads.size() == keys.size(),
+                 "pipeline: transmit_batch needs one noise key per payload (" +
                      std::to_string(payloads.size()) + " payloads, " +
-                     std::to_string(rngs.size()) + " rngs)");
+                     std::to_string(keys.size()) + " keys)");
   const std::size_t n = payloads.size();
   std::vector<BitVec> received(n);
   std::vector<std::size_t> airtime(n, 0);
   std::vector<std::exception_ptr> errors(n);
-  // Per-message noise streams stay independent: message i consumes only
-  // rngs[i], so bits match N sequential transmit() calls exactly whether
-  // the passes run inline or on the pool. Exceptions are captured per
-  // index instead of letting the fan-out rethrow: the stats commit below
-  // must replay the sequential order (messages before the first throwing
-  // index count, the rest do not).
+  // Message i draws only from its own keyed stream, so bits match N
+  // sequential transmits exactly whether the passes run inline or on the
+  // pool. Exceptions are captured per index instead of letting the fan-out
+  // rethrow: the stats commit below must replay the sequential order
+  // (messages before the first throwing index count, the rest do not).
   common::parallel_for_or_inline(pool, n, [&](std::size_t i, std::size_t) {
     try {
+      common::NoiseStream noise(keys[i]);
       const std::uint64_t slot = slots.empty() ? 0 : slots[i];
-      received[i] =
-          transmit_one(payloads[i], rngs[i], airtime[i], slot, nullptr);
+      received[i] = transmit_one(payloads[i], noise, airtime[i], slot, nullptr);
     } catch (...) {
       errors[i] = std::current_exception();
     }
@@ -97,36 +80,34 @@ void ChannelPipeline::fold_stats(const PipelineStats& delta) {
   stats_.messages += delta.messages;
 }
 
-BitVec ChannelPipeline::transmit_one(const BitVec& payload, Rng& rng,
+BitVec ChannelPipeline::transmit_one(const BitVec& payload,
+                                     common::NoiseStream& noise,
                                      std::size_t& airtime_bits,
                                      std::uint64_t slot,
                                      ChannelObservation* obs) const {
   const BitVec coded = code_->encode(payload);
   const BitVec sent = interleaver_.interleave(coded);
-  if (soft_) {
-    // LLRs ride the same deinterleave permutation the hard bits would, so
-    // the trellis sees confidences in coded order. Channels without a soft
-    // output decline and drop through to the hard path.
-    std::vector<float> llrs;
-    if (channel_->transmit_soft(sent, rng, slot, llrs, obs)) {
-      std::vector<float> deinterleaved = interleaver_.deinterleave(llrs);
-      deinterleaved.resize(coded.size());  // drop interleaver padding
-      BitVec decoded = code_->decode_soft(deinterleaved);
-      SEMCACHE_CHECK(decoded.size() >= payload.size(),
-                     "pipeline: decoder returned too few bits");
-      decoded.resize(payload.size());
-      airtime_bits = sent.size();
-      return decoded;
-    }
+  airtime_bits = sent.size();
+  BitVec hard;
+  std::vector<float> llrs;
+  BitVec decoded;
+  // Soft mode asks for LLRs; channels without a soft output (BSC) answer
+  // with hard decisions instead. LLRs ride the same deinterleave
+  // permutation the hard bits would, so the trellis sees confidences in
+  // coded order.
+  if (channel_->carry(sent, noise, slot, hard, soft_ ? &llrs : nullptr,
+                      obs)) {
+    std::vector<float> deinterleaved = interleaver_.deinterleave(llrs);
+    deinterleaved.resize(coded.size());  // drop interleaver padding
+    decoded = code_->decode_soft(deinterleaved);
+  } else {
+    BitVec deinterleaved = interleaver_.deinterleave(hard);
+    deinterleaved.resize(coded.size());  // drop interleaver padding
+    decoded = code_->decode(deinterleaved);
   }
-  const BitVec received = channel_->transmit_slot(sent, rng, slot);
-  BitVec deinterleaved = interleaver_.deinterleave(received);
-  deinterleaved.resize(coded.size());  // drop interleaver padding
-  BitVec decoded = code_->decode(deinterleaved);
   SEMCACHE_CHECK(decoded.size() >= payload.size(),
                  "pipeline: decoder returned too few bits");
   decoded.resize(payload.size());
-  airtime_bits = sent.size();
   return decoded;
 }
 

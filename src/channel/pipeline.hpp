@@ -12,6 +12,7 @@
 #include "channel/code.hpp"
 #include "channel/interleaver.hpp"
 #include "channel/physical.hpp"
+#include "common/hashing.hpp"
 #include "common/thread_pool.hpp"
 
 namespace semcache::channel {
@@ -28,54 +29,37 @@ class ChannelPipeline {
                   std::unique_ptr<BitChannel> channel,
                   std::size_t interleave_depth = 1);
 
-  /// Transmit payload bits; returns the receiver's reconstruction, trimmed
-  /// to the payload length.
+  /// Rng adapter: transmit payload bits with noise keyed by one draw from
+  /// `rng` (common::noise_key); returns the receiver's reconstruction,
+  /// trimmed to the payload length.
   BitVec transmit(const BitVec& payload, Rng& rng);
 
-  /// Slot-aware transmit: `slot` is the global message ordinal (the same
-  /// index that keys the caller's RNG fork), forwarded to channels with
-  /// memory (Gilbert–Elliott). When `obs` is non-null and the pipeline is
-  /// in soft-decision mode, it receives the decision-directed channel
-  /// observation of this message.
+  /// Slot-aware Rng adapter: `slot` is the global message ordinal,
+  /// forwarded to channels with memory (Gilbert–Elliott). When `obs` is
+  /// non-null and the pipeline is in soft-decision mode, it receives the
+  /// decision-directed channel observation of this message.
   BitVec transmit_at(const BitVec& payload, Rng& rng, std::uint64_t slot,
                      ChannelObservation* obs = nullptr);
 
-  /// Batched transmit: payload i rides the channel with its own RNG stream
-  /// `rngs[i]`, so result i is bit-identical to `transmit(payloads[i],
-  /// rngs[i])` and the caller's per-message fork discipline is preserved.
-  /// Stats account per message: `messages` grows by payloads.size() and the
-  /// payload/airtime bit sums equal N sequential transmits.
+  /// The batch entry: payload i rides the channel with its own noise
+  /// stream, common::NoiseStream(keys[i]), at slot slots[i] (empty span =
+  /// all slot 0). Result i is therefore a pure function of (payload i,
+  /// key i, slot i): bit-identical to a sequential transmit_at whose rng
+  /// yields keys[i], under any pool. Accounting goes to `sink`, not the
+  /// pipeline's own stats, leaving the pipeline const — several serving
+  /// pairs share one pipeline, each collects into a pair-local sink on its
+  /// worker, and the caller folds the sinks back in pair order
+  /// (fold_stats). `messages` grows by payloads.size() and the bit sums
+  /// equal N sequential transmits; on an error, `sink` holds the
+  /// pre-throw prefix exactly as N sequential calls would have booked.
   ///
-  /// With a thread pool attached, the per-message modulate/noise/
-  /// demodulate/decode passes run in parallel — each message consumes only
-  /// its own rngs[i], so the received bits are bit-identical to the
-  /// sequential path regardless of worker count — and the per-message
-  /// stats are committed in ascending index order after the join.
+  /// With a pool, the per-message code/noise/demap/decode passes run in
+  /// parallel and stats commit in ascending index order after the join.
   std::vector<BitVec> transmit_batch(const std::vector<BitVec>& payloads,
-                                     std::span<Rng> rngs);
-  /// Slot-aware batch booking into the pipeline's own stats.
-  std::vector<BitVec> transmit_batch(const std::vector<BitVec>& payloads,
-                                     std::span<Rng> rngs,
-                                     std::span<const std::uint64_t> slots);
-
-  /// transmit_batch with the accounting redirected into `sink` instead of
-  /// the pipeline's own stats, leaving the pipeline const — the form the
-  /// cross-pair serving tasks use: several pairs share one pipeline, each
-  /// collects into a pair-local sink on its worker, and the caller folds
-  /// the sinks back in pair order after the join (fold_stats). Bits and
-  /// accounting are identical to transmit_batch; on an error, `sink`
-  /// holds the pre-throw prefix exactly as member stats would.
-  std::vector<BitVec> transmit_batch_collect(
-      const std::vector<BitVec>& payloads, std::span<Rng> rngs,
-      PipelineStats& sink, common::ThreadPool* pool) const;
-
-  /// Slot-aware batch: `slots[i]` is forwarded as message i's slot (empty
-  /// span = all slot 0, the legacy behavior). Bits stay identical to N
-  /// sequential transmit_at calls under any pool.
-  std::vector<BitVec> transmit_batch_collect(
-      const std::vector<BitVec>& payloads, std::span<Rng> rngs,
-      std::span<const std::uint64_t> slots, PipelineStats& sink,
-      common::ThreadPool* pool) const;
+                                     std::span<const std::uint64_t> keys,
+                                     std::span<const std::uint64_t> slots,
+                                     PipelineStats& sink,
+                                     common::ThreadPool* pool) const;
 
   /// Switch the receive side between hard-decision slicing (default; the
   /// pre-existing bit-exact path) and soft-decision LLR decoding. Soft
@@ -84,26 +68,21 @@ class ChannelPipeline {
   void set_soft_decision(bool on) { soft_ = on; }
   bool soft_decision() const { return soft_; }
 
-  /// Attach a worker pool for transmit_batch (non-owning; nullptr detaches
-  /// and restores the pure sequential loop). The pool only affects wall
-  /// clock, never bits or stats.
-  void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
-
   const PipelineStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
   /// Merge a collected sink into the pipeline's own stats (the commit
-  /// half of transmit_batch_collect).
+  /// half of transmit_batch).
   void fold_stats(const PipelineStats& delta);
   const ChannelCode& code() const { return *code_; }
   std::string description() const;
 
  private:
   /// One payload through code/interleave/channel/deinterleave/decode; the
-  /// shared body of transmit() and transmit_batch(). Pure with respect to
+  /// shared body of transmit_at() and transmit_batch(). Pure with respect to
   /// pipeline state (safe to run concurrently for distinct messages):
   /// the coded on-air bit count is reported through `airtime_bits` and
   /// folded into stats_ by the caller.
-  BitVec transmit_one(const BitVec& payload, Rng& rng,
+  BitVec transmit_one(const BitVec& payload, common::NoiseStream& noise,
                       std::size_t& airtime_bits, std::uint64_t slot,
                       ChannelObservation* obs) const;
 
@@ -111,9 +90,21 @@ class ChannelPipeline {
   std::unique_ptr<BitChannel> channel_;
   BlockInterleaver interleaver_;
   PipelineStats stats_;
-  common::ThreadPool* pool_ = nullptr;
   bool soft_ = false;
 };
+
+/// Kind tag of the serving path's channel-noise keys (identity-hash
+/// discipline, see common::identity_mix).
+inline constexpr std::uint64_t kChannelNoiseTag = 0xC4A2;
+
+/// The noise-stream key of the message with global ordinal `ordinal` in a
+/// system seeded `seed`: a pure function of the message's identity, so
+/// batched, pooled, sharded and degraded serving all give a message the
+/// same noise. Pinned by test_channel_golden.
+constexpr std::uint64_t message_noise_key(std::uint64_t seed,
+                                          std::uint64_t ordinal) {
+  return common::identity_mix(seed, kChannelNoiseTag, ordinal, 0, 0);
+}
 
 /// Channel-code factory: "uncoded" | "rep3" | "rep5" | "hamming74" |
 /// "conv_k3_r12" | "conv_k3_r23" | "conv_k3_r34".

@@ -1,10 +1,10 @@
 // Internal seam between the channel plane's dispatching call sites
-// (modulation.cpp, physical.cpp, convolutional.cpp, repetition.cpp) and the
+// (modulation.cpp, convolutional.cpp, repetition.cpp) and the
 // AVX2 translation unit (simd_avx2.cpp), mirroring tensor/simd_kernels.hpp.
 //
 // Unlike the matmul family, none of these kernels carries a multiply-add
-// accumulation chain — they are comparisons, table lookups, independent
-// elementwise adds, one IEEE division, and integer arithmetic — so there is
+// accumulation chain — they are comparisons, table lookups, one IEEE
+// division, and integer arithmetic — so there is
 // no contraction ambiguity, no flavor pair, and no probe: a single vector
 // implementation is bit-identical to the scalar reference on every input
 // (including NaN and signed zero; twin tests pin this). The soft demaps
@@ -85,9 +85,6 @@ struct Avx2ChannelKernels {
   void (*demod_soft_qpsk)(const double* sym, std::size_t nsym, float* llrs);
   void (*demod_soft_qam16)(const double* sym, std::size_t nsym, double scale,
                            float* llrs);
-  /// data[i] += noise[i] over n doubles (the AWGN apply after the gaussian
-  /// draws are buffered in their original order).
-  void (*add_noise)(double* data, const double* noise, std::size_t n);
   ViterbiAcsFn viterbi_acs;
   ViterbiAcsSoftFn viterbi_acs_soft;
   /// out[i] = majority(coded[3i], coded[3i+1], coded[3i+2]) for the

@@ -2,7 +2,7 @@
 // -ffp-contract=off (see CMakeLists.txt) and reached through the table in
 // channel/simd.hpp. Every kernel is bit-identical to its scalar reference
 // by construction — the only floating-point operations are IEEE-exact
-// (compares, one division, independent elementwise adds), the rest is
+// (compares, selects, one division), the rest is
 // integer work — so no equivalence probe is needed (contrast tensor ops).
 //
 // Demap layout note: a std::complex<double> array is layout-compatible
@@ -165,15 +165,6 @@ void demod_soft_qam16_avx2(const double* sym, std::size_t nsym, double scale,
   }
 }
 
-void add_noise_avx2(double* data, const double* noise, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(data + i, _mm256_add_pd(_mm256_loadu_pd(data + i),
-                                             _mm256_loadu_pd(noise + i)));
-  }
-  for (; i < n; ++i) data[i] += noise[i];
-}
-
 // Add-compare-select over all four trellis states at once: lane ns holds
 // the metric of next-state ns. Metrics stay <= kViterbiInf + 2 < 2^31, so
 // the signed 32-bit compare is exact; B wins only on strictly smaller
@@ -293,7 +284,6 @@ constexpr Avx2ChannelKernels kKernels = {
     /*demod_soft_bpsk=*/demod_soft_bpsk_avx2,
     /*demod_soft_qpsk=*/demod_soft_qpsk_avx2,
     /*demod_soft_qam16=*/demod_soft_qam16_avx2,
-    /*add_noise=*/add_noise_avx2,
     /*viterbi_acs=*/viterbi_acs_avx2,
     /*viterbi_acs_soft=*/viterbi_acs_soft_avx2,
     /*repetition_vote3=*/repetition_vote3_avx2,

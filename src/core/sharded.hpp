@@ -19,9 +19,9 @@
 // (same config + seed → same world, same pretrained generals, same
 // selector: Rng::fork is pure in (seed, tag)), user registration is
 // replicated into every shard in the same order (profiles are directory
-// bytes; the heavy state stays owner-only), and channel-noise forks are
+// bytes; the heavy state stays owner-only), and channel-noise keys are
 // position-independent. The one global coordinate — the system-wide
-// message index that seeds each message's channel-noise fork — is pinned
+// message index that keys each message's channel-noise stream — is pinned
 // per batch by the front door (PairBatch::noise_base), assigned in
 // first-enqueue order from the deployment-wide counter here. Result: the
 // K-shard data plane is byte-identical to the single-system reference for

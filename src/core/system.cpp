@@ -55,7 +55,6 @@ std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
       common::resolve_thread_count(sys->config_.num_threads);
   if (sys->config_.num_threads > 0) {
     sys->pool_ = std::make_unique<common::ThreadPool>(sys->config_.num_threads);
-    sys->pipeline_->set_thread_pool(sys->pool_.get());
     // Concurrent waves (transmit_pairs_at) fan their per-pair compute
     // phases out over the same pool.
     sys->sim_.set_thread_pool(sys->pool_.get());
@@ -189,7 +188,7 @@ const UserProfile& SemanticEdgeSystem::register_user(
                      "; raise devices_per_edge");
   profile.device = topology_.devices[edge_index][cursor++];
   if (idiolect_cfg != nullptr) {
-    Rng idio_rng = rng_.fork(std::hash<std::string>{}(name));
+    Rng idio_rng = rng_.fork(idiolect_fork_tag(name));
     profile.idiolect = std::make_unique<text::Idiolect>(
         text::Idiolect::generate(world_, *idiolect_cfg, idio_rng));
   }

@@ -17,9 +17,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "channel/pipeline.hpp"
+#include "common/hashing.hpp"
 #include "common/thread_pool.hpp"
 #include "core/edge_state.hpp"
 #include "edge/network.hpp"
@@ -111,7 +113,7 @@ struct SystemConfig {
   /// transmit_many). 0 — the default — compiles down to today's
   /// sequential code path: no pool is built and no std::thread is ever
   /// spawned. Any value N >= 1 builds a common::ThreadPool whose results
-  /// are BIT-IDENTICAL to the sequential path (per-message Rng forks +
+  /// are BIT-IDENTICAL to the sequential path (per-message keyed noise +
   /// index-ordered stats commit; see README "Threading model"); the
   /// SEMCACHE_THREADS environment variable overrides a default-0 config
   /// at build() time (benches and the TSan CI job use it).
@@ -159,6 +161,13 @@ struct TransmitReport {
 
   double latency_s = 0.0;  ///< arrival at receiver device minus send time
 };
+
+/// Tag of a user's idiolect RNG fork (Rng::fork of the system RNG): the
+/// stable FNV-1a hash of the name, never std::hash, so a registered
+/// speaker's idiolect is the same under every standard library.
+constexpr std::uint64_t idiolect_fork_tag(std::string_view user) {
+  return common::stable_hash(user);
+}
 
 /// Aggregate accounting across a run.
 struct SystemStats {
@@ -208,7 +217,12 @@ struct SystemStats {
     degraded_serves += o.degraded_serves;
     return *this;
   }
+  bool operator==(const SystemStats&) const = default;
 };
+// Every field above is a 64-bit counter folded by operator+=; a new counter
+// changes the size and must be added there too.
+static_assert(sizeof(SystemStats) == 19 * sizeof(std::uint64_t),
+              "SystemStats changed: fold the new counter in operator+=");
 
 /// Where a deployment's bytes live, split so the city-scale question —
 /// "what does ONE MORE user cost?" — has a measurable answer. Fixed costs
@@ -283,8 +297,9 @@ class SemanticEdgeSystem {
   /// Batched end-to-end transmission: N messages from `sender` to
   /// `receiver` run the data plane once per (selected domain, fine-tune
   /// interval) group — one encode_batch, one quantize_batch, one
-  /// channel transmit_batch (per-message forked RNG, so message i sees
-  /// exactly the noise stream i sequential calls would), and one
+  /// channel transmit_batch (per-message noise keyed by the global message
+  /// ordinal, so message i sees exactly the noise i sequential calls
+  /// would), and one
   /// decode_logits_batch on the receiver replica — instead of N single
   /// passes. `on_done(i, report)` fires as message i arrives at the
   /// receiver device; each message keeps its own timing-plane event chain,
@@ -308,7 +323,8 @@ class SemanticEdgeSystem {
     std::string sender;
     std::string receiver;
     std::vector<text::Sentence> messages;
-    /// System-wide message index of messages[0] for channel-noise forking.
+    /// System-wide message index of messages[0], which keys its channel
+    /// noise (channel::message_noise_key).
     /// The sharded front door pins this from ITS global counter so K
     /// independent shards consume exactly the noise streams the
     /// single-system reference would, regardless of how pairs interleave
@@ -349,8 +365,8 @@ class SemanticEdgeSystem {
   /// delivery chains — with NO personalization and NO state mutation (no
   /// slot establishment, no buffer adds, no fine-tune, no sync, no cache
   /// touches). Every report is flagged `degraded` and counted in
-  /// SystemStats::degraded_serves. Channel noise keeps the identity-keyed
-  /// fork discipline via the batch's pinned noise base, so degraded
+  /// SystemStats::degraded_serves. Channel noise stays keyed by message
+  /// identity via the batch's pinned noise base, so degraded
   /// serving is itself deterministic.
   void serve_degraded(const PairBatch& batch,
                       std::function<void(std::size_t, TransmitReport)> on_done);
@@ -445,7 +461,7 @@ class SemanticEdgeSystem {
   /// sinks that the commit phase folds back in pair order.
   struct ServeContext {
     SystemStats* stats;                     ///< accounting sink
-    channel::PipelineStats* channel_stats;  ///< null = pipeline's own stats
+    channel::PipelineStats* channel_stats;  ///< channel accounting sink
     common::ThreadPool* row_pool;           ///< row-level fan-outs
     std::vector<PendingShip>* outbox;       ///< null = ship updates now
   };

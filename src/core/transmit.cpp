@@ -14,13 +14,13 @@
 // boundaries fall exactly on the messages whose buffer add trips the
 // fine-tune trigger (the sequential path updates the weights there, so
 // later messages must be encoded by the post-update model). Per-message
-// channel noise keeps the sequential fork discipline: message i (counted
-// across the whole system) forks rng_ with tag 0xC4A2 ^ (i * 2654435761),
-// so batched and sequential runs consume identical noise streams.
+// channel noise is keyed by identity: message i (counted across the whole
+// system) draws from NoiseStream(channel::message_noise_key(seed, i)), so
+// batched and sequential runs draw identical noise.
 //
 // With SystemConfig::num_threads > 0, the per-row stages of each chunk
 // (quantize, channel pass, dequantize) additionally fan out over the
-// system's worker pool. The forked-RNG discipline makes those rows
+// system's worker pool. Identity-keyed noise makes those rows
 // embarrassingly parallel, so threads=N output is bit-identical to
 // threads=0 (test_transmit_parallel pins the whole matrix); everything
 // stateful stays on the calling thread.
@@ -58,13 +58,6 @@ constexpr std::size_t kCrcBytes = 4;       ///< sync wire CRC trailer
 
 std::size_t raw_message_bytes(const text::Sentence& s) {
   return kHeaderBytes + kTokenBytes * s.surface.size();
-}
-
-/// Channel-noise fork tag for the system-wide message counter value `index`
-/// (the same discipline whether the message rides the batched or the
-/// sequential path). Pinned by test_channel_golden.
-std::uint64_t channel_fork_tag(std::uint64_t index) {
-  return 0xC4A2 ^ (index * 2654435761ULL);
 }
 }  // namespace
 
@@ -359,20 +352,6 @@ void SemanticEdgeSystem::process_domain_group(
   const std::size_t length = config_.codec.sentence_length;
   const std::size_t vocab = config_.codec.meaning_vocab;
 
-  // Per-lane scratch for the parallel outcome assembly: the CE loss object
-  // caches its softmax internally and the logits slice is reused across
-  // messages, so each worker lane owns one of each (pool-slot-indexed —
-  // no shared mutable state crosses workers).
-  struct LaneScratch {
-    tensor::Tensor slice;  // one message's logits (L x V)
-    nn::SoftmaxCrossEntropy ce;
-  };
-  std::vector<LaneScratch> lanes(
-      ctx.row_pool != nullptr
-          ? std::max<std::size_t>(1, ctx.row_pool->worker_count())
-          : 1);
-
-  nn::SoftmaxCrossEntropy ce;  // calling-thread fallback path only
   std::vector<std::int32_t> surfaces;
 
   std::size_t pos = 0;
@@ -398,10 +377,10 @@ void SemanticEdgeSystem::process_domain_group(
     // Parallel sections: encode/decode stay batched on the calling thread
     // (they own per-model Workspace scratch), while the per-row quantize /
     // channel / dequantize passes fan out over pool_ when one is attached
-    // — each row's work touches only row-owned state plus its own forked
-    // RNG, so the bits are identical on any worker count. All mutation
-    // (buffers, caches, stats, timing-plane scheduling) stays below, on
-    // the calling thread.
+    // — each row's work touches only row-owned state plus its own keyed
+    // noise stream, so the bits are identical on any worker count. All
+    // mutation (buffers, caches, stats, timing-plane scheduling) stays
+    // below, on the calling thread.
     //
     // serving_codec is resolved per chunk, not hoisted: the update trigger
     // at a chunk boundary may MATERIALIZE the sender slot (copy-on-write),
@@ -414,26 +393,17 @@ void SemanticEdgeSystem::process_domain_group(
 
     std::vector<BitVec> received;
     if (cross_edge) {
-      std::vector<Rng> rngs;
-      std::vector<std::uint64_t> slots;
-      rngs.reserve(chunk);
-      slots.reserve(chunk);
-      // The slot is the same global message ordinal that keys the RNG
-      // fork — channels with memory (Gilbert–Elliott) key their burst
+      // Message j's noise is keyed by its global ordinal, which is also its
+      // slot — channels with memory (Gilbert–Elliott) key their burst
       // weather on it, so waves stay byte-identical across threads/shards.
+      std::vector<std::uint64_t> keys(chunk);
+      std::vector<std::uint64_t> slots(chunk);
       for (std::size_t j = 0; j < chunk; ++j) {
-        const std::uint64_t ordinal = base_message_index + indices[pos + j];
-        rngs.push_back(rng_.fork(channel_fork_tag(ordinal)));
-        slots.push_back(ordinal);
+        slots[j] = base_message_index + indices[pos + j];
+        keys[j] = channel::message_noise_key(config_.seed, slots[j]);
       }
-      // Deferred mode collects the channel accounting into the pair-local
-      // sink (the pipeline is shared across concurrently-served pairs);
-      // direct mode books into the pipeline's own stats as always.
-      received = ctx.channel_stats != nullptr
-                     ? pipeline_->transmit_batch_collect(payloads, rngs, slots,
-                                                         *ctx.channel_stats,
-                                                         ctx.row_pool)
-                     : pipeline_->transmit_batch(payloads, rngs, slots);
+      received = pipeline_->transmit_batch(payloads, keys, slots,
+                                           *ctx.channel_stats, ctx.row_pool);
     } else {
       received = payloads;
     }
@@ -474,13 +444,14 @@ void SemanticEdgeSystem::process_domain_group(
     }
 
     // ---- Per-message outcome assembly. Report fields and the mismatch
-    // CE are pure functions of (message, batch outputs), so they fan out
-    // over the pool with the lane scratch above; message j writes only
-    // report j. The reuse fallback for channel-corrupted messages needs a
-    // decoder forward (per-model Workspace), so it is only FLAGGED here
-    // and computed on the calling thread in the commit loop below. ----
+    // CE (read in place from the logits, no scratch) are pure functions of
+    // (message, batch outputs), so they fan out over the pool; message j
+    // writes only report j. The reuse fallback for channel-corrupted
+    // messages needs a decoder forward (per-model Workspace), so it is
+    // only FLAGGED here and computed on the calling thread in the commit
+    // loop below. ----
     std::vector<std::uint8_t> wants_copy_fallback(chunk, 0);
-    const auto assemble = [&](std::size_t j, std::size_t lane) {
+    const auto assemble = [&](std::size_t j, std::size_t) {
       const std::size_t idx = indices[pos + j];
       const text::Sentence& message = messages[idx];
       TransmitReport& report = *reports[idx];
@@ -498,26 +469,21 @@ void SemanticEdgeSystem::process_domain_group(
       }
 
       if (config_.decoder_copy_enabled) {
-        LaneScratch& scratch = lanes[lane];
         if (reuse && received[j] == payloads[j]) {
           // Clean payload + synced replicas: rx_logits rows j*L..(j+1)*L
           // are bit-identical to what the decoder copy would produce.
-          scratch.slice.resize({length, vocab});
-          std::memcpy(scratch.slice.data(),
-                      rx_logits.data() + j * length * vocab,
-                      length * vocab * sizeof(float));
-          report.mismatch = scratch.ce.forward(scratch.slice, message.meanings);
+          report.mismatch = nn::cross_entropy_mean(
+              rx_logits.data() + j * length * vocab, length, vocab,
+              message.meanings);
         } else if (reuse) {
           // Channel-corrupted message: needs the decoder copy (sslot !=
           // rslot here — a corrupted payload implies a cross-edge
           // channel). Deferred to the calling thread.
           wants_copy_fallback[j] = 1;
         } else {
-          scratch.slice.resize({length, vocab});
-          std::memcpy(scratch.slice.data(),
-                      copy_logits->data() + j * length * vocab,
-                      length * vocab * sizeof(float));
-          report.mismatch = scratch.ce.forward(scratch.slice, message.meanings);
+          report.mismatch = nn::cross_entropy_mean(
+              copy_logits->data() + j * length * vocab, length, vocab,
+              message.meanings);
         }
       } else {
         report.output_return_bytes =
@@ -546,7 +512,8 @@ void SemanticEdgeSystem::process_domain_group(
         const tensor::Tensor clean = quantizer_->roundtrip(row);
         const tensor::Tensor logits =
             serving_codec(sslot, m).decoder().decode_logits(clean);
-        report.mismatch = ce.forward(logits, message.meanings);
+        report.mismatch = nn::cross_entropy_mean(logits.data(), length, vocab,
+                                                 message.meanings);
       }
       if (!config_.decoder_copy_enabled) {
         ctx.stats->output_return_bytes += report.output_return_bytes;
@@ -662,16 +629,18 @@ void SemanticEdgeSystem::transmit_many(
   // ================= data plane (eager, batched) =================
   // Group by selected domain (first-appearance order); within a group the
   // arrival order is preserved, and each message keeps the channel-noise
-  // fork of its system-wide index.
+  // key of its system-wide index.
   const std::uint64_t base_message_index = stats_.messages;
   const auto grouped = common::group_by_first_appearance(
       n, [&](std::size_t i) { return domains[i]; });
-  const ServeContext direct{&stats_, nullptr, pool_.get(), nullptr};
+  channel::PipelineStats channel_sink;
+  const ServeContext direct{&stats_, &channel_sink, pool_.get(), nullptr};
   for (std::size_t g = 0; g < grouped.groups.size(); ++g) {
     process_domain_group(sender, grouped.keys[g], sstate, rstate, cross_edge,
                          base_message_index, messages, grouped.groups[g],
                          reports, direct);
   }
+  pipeline_->fold_stats(channel_sink);
   stats_.messages += n;
 
   // ================= timing plane (one event chain per message) =========
@@ -736,8 +705,8 @@ void SemanticEdgeSystem::prepare_pair(PairTask& task) {
                                       *task.reports[i]);
   }
   // Claim this pair's run of global message indices now, in pair order —
-  // exactly the channel-noise forks n sequential transmit_many calls
-  // would consume (the counter's only other reader is the next prepare).
+  // exactly the channel-noise keys n sequential transmit_many calls
+  // would use (the counter's only other reader is the next prepare).
   // A batch with a PINNED noise base (the sharded front door assigns them
   // from its deployment-wide counter in first-enqueue order) uses that
   // instead, so a shard's noise streams match the single-system reference
@@ -770,25 +739,20 @@ void SemanticEdgeSystem::compute_pair(PairTask& task) {
 }
 
 void SemanticEdgeSystem::commit_pair(PairTask& task, const PairDone& on_done) {
-  // Fold the pair-local accounting into the global sinks. `messages` was
-  // claimed at prepare; uplink/downlink book in schedule_delivery below;
-  // selection_errors booked in prepare. The fault/resync counters are
-  // structurally zero here (ship_sync books them at commit time, into
-  // the global stats) but fold anyway so the invariant lives in one
-  // place.
-  stats_.feature_bytes += task.stats_delta.feature_bytes;
-  stats_.sync_bytes += task.stats_delta.sync_bytes;
-  stats_.output_return_bytes += task.stats_delta.output_return_bytes;
-  stats_.updates += task.stats_delta.updates;
-  stats_.sync_drops += task.stats_delta.sync_drops;
-  stats_.sync_retries += task.stats_delta.sync_retries;
-  stats_.sync_corrupt_drops += task.stats_delta.sync_corrupt_drops;
-  stats_.sync_duplicates += task.stats_delta.sync_duplicates;
-  stats_.sync_expired += task.stats_delta.sync_expired;
-  stats_.sync_ack_bytes += task.stats_delta.sync_ack_bytes;
-  stats_.full_resyncs += task.stats_delta.full_resyncs;
-  stats_.resync_bytes += task.stats_delta.resync_bytes;
-  stats_.degraded_serves += task.stats_delta.degraded_serves;
+  // Fold the pair-local accounting into the global sinks. The counters
+  // booked elsewhere must be zero in the delta: `messages` is claimed at
+  // prepare, selection_errors booked there too, uplink/downlink in
+  // schedule_delivery below, and link outages by the link layer. The
+  // sync fault/resync counters are structurally zero as well (ship_sync
+  // books them at commit time, into the global stats), but fold with the
+  // rest so a new SystemStats counter cannot be left out.
+  const SystemStats& delta = task.stats_delta;
+  SEMCACHE_CHECK(delta.messages == 0 && delta.uplink_bytes == 0 &&
+                     delta.downlink_bytes == 0 &&
+                     delta.selection_errors == 0 && delta.outage_drops == 0 &&
+                     delta.outage_queued == 0,
+                 "commit_pair: pair delta booked a counter owned elsewhere");
+  stats_ += delta;
   pipeline_->fold_stats(task.channel_delta);
   // Ship deferred gradient syncs in trigger order, exactly where the
   // sequential path would have sent them: after this pair's data plane,
@@ -813,7 +777,7 @@ void SemanticEdgeSystem::transmit_pairs(std::vector<PairBatch> batches,
   // Validate the WHOLE wave before serving anything: prepare claims
   // global message indices and mutates caches/slots, so a mid-wave
   // rejection would leave earlier pairs prepared but later ones dropped,
-  // with every later channel-noise fork shifted. Rejecting up front
+  // with every later channel-noise key shifted. Rejecting up front
   // keeps a failed call side-effect-free, like a failed transmit_many.
   // Fault injection needs no special casing here: every fault coin is
   // keyed by message identity (FaultPlane), so waves stay parallel — and
@@ -855,7 +819,7 @@ void SemanticEdgeSystem::transmit_pairs_at(edge::SimTime t, PairBatch batch,
   auto task = std::make_shared<PairTask>();
   task->pair_index = pair_index;
   task->batch = std::move(batch);
-  const std::uint64_t lane = std::hash<std::string>{}(task->batch.sender);
+  const std::uint64_t lane = common::stable_hash(task->batch.sender);
   sim_.schedule_concurrent_at(
       t, lane, [this, task] { prepare_pair(*task); },
       [this, task] { compute_pair(*task); },
@@ -875,14 +839,15 @@ void SemanticEdgeSystem::serve_degraded(
   const std::uint64_t base = batch.noise_base == PairBatch::kAutoNoiseBase
                                  ? stats_.messages
                                  : batch.noise_base;
-  nn::SoftmaxCrossEntropy ce;
+  const std::size_t length = config_.codec.sentence_length;
+  const std::size_t vocab = config_.codec.meaning_vocab;
 
   // Availability mode: every message runs the full Fig. 1 data plane on a
   // FROZEN general-model replica — no slot creation, no cache touches, no
   // transaction buffering, no fine-tune, no sync. Worker slot 0 is safe:
   // degraded serving runs on the dispatcher's calling thread, never
   // inside a wave fan-out. The channel keeps the identity-keyed noise
-  // fork, so a degraded wave is itself bit-reproducible.
+  // stream, so a degraded wave is itself bit-reproducible.
   for (std::size_t i = 0; i < batch.messages.size(); ++i) {
     const text::Sentence& message = batch.messages[i];
     auto report = std::make_shared<TransmitReport>();
@@ -902,10 +867,12 @@ void SemanticEdgeSystem::serve_degraded(
         quantizer_->quantize_batch(features, nullptr);
     std::vector<BitVec> received;
     if (cross_edge) {
-      std::vector<Rng> rngs;
-      rngs.push_back(rng_.fork(channel_fork_tag(base + i)));
       const std::uint64_t slot[] = {base + i};
-      received = pipeline_->transmit_batch(payloads, rngs, slot);
+      const std::uint64_t key[] = {
+          channel::message_noise_key(config_.seed, base + i)};
+      channel::PipelineStats sink;
+      received = pipeline_->transmit_batch(payloads, key, slot, sink, nullptr);
+      pipeline_->fold_stats(sink);
     } else {
       received = payloads;
     }
@@ -924,7 +891,8 @@ void SemanticEdgeSystem::serve_degraded(
     if (config_.decoder_copy_enabled) {
       // Encoder and decoder are the SAME frozen general here, trivially
       // in sync: the receiver logits ARE the decoder-copy logits.
-      report->mismatch = ce.forward(rx_logits, message.meanings);
+      report->mismatch = nn::cross_entropy_mean(rx_logits.data(), length,
+                                                vocab, message.meanings);
     } else {
       report->output_return_bytes =
           kHeaderBytes + kTokenBytes * report->decoded_meanings.size();

@@ -1,5 +1,6 @@
 #include "nn/loss.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -27,6 +28,34 @@ double SoftmaxCrossEntropy::forward(const Tensor& logits,
     loss -= std::log(p);
   }
   return loss / static_cast<double>(targets_.size());
+}
+
+namespace {
+// SoftmaxCrossEntropy clamps each probability at 1e-12; the fused form caps
+// the row loss at the same -log(1e-12) so the two agree on hopeless rows.
+const double kMaxRowLoss = -std::log(1e-12);
+}  // namespace
+
+double cross_entropy_mean(const float* logits, std::size_t rows,
+                          std::size_t cols,
+                          std::span<const std::int32_t> targets) {
+  SEMCACHE_CHECK(rows > 0 && cols > 0, "ce: empty logits");
+  SEMCACHE_CHECK(rows == targets.size(),
+                 "ce: batch size mismatch with targets");
+  double loss = 0.0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const auto t = targets[i];
+    SEMCACHE_CHECK(t >= 0 && static_cast<std::size_t>(t) < cols,
+                   "ce: target class out of range");
+    const float* row = logits + i * cols;
+    float row_max = 0.0f;
+    const float sum = tensor::max_exp_sum(row, cols, row_max);
+    const double row_loss =
+        (static_cast<double>(row_max) - static_cast<double>(row[t])) +
+        std::log(static_cast<double>(sum));
+    loss += std::min(row_loss, kMaxRowLoss);
+  }
+  return loss / static_cast<double>(rows);
 }
 
 Tensor SoftmaxCrossEntropy::backward() const {

@@ -28,6 +28,17 @@ class SoftmaxCrossEntropy {
   std::vector<std::int32_t> targets_;
 };
 
+/// Forward-only mean cross-entropy (nats) of `rows` rows of `cols` logits
+/// against one target class per row: per row, logsumexp minus the target
+/// logit, in one pass over the logits with no copy and no allocation
+/// (tensor::max_exp_sum). Like SoftmaxCrossEntropy::forward, a row costs
+/// at most -log(1e-12). The serving path's mismatch; the result is the
+/// same on every SIMD tier. Training keeps SoftmaxCrossEntropy, which
+/// also produces the gradient.
+double cross_entropy_mean(const float* logits, std::size_t rows,
+                          std::size_t cols,
+                          std::span<const std::int32_t> targets);
+
 /// Mean squared error between predictions and targets of equal shape.
 class MeanSquaredError {
  public:

@@ -1,9 +1,11 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/check.hpp"
@@ -214,11 +216,49 @@ bool probe_matches(bool trans, detail::GemmFn candidate) {
   return std::memcmp(ref.data(), out.data(), ref.size() * sizeof(float)) == 0;
 }
 
+// Scalar twin of max_exp_sum_avx2 (contract in simd_kernels.hpp): eight
+// emulated lanes, the max_ps select rule `v > m ? v : m`, and every
+// multiply-add spelled std::fma so no contraction setting can change it.
+float max_exp_sum_scalar(const float* row, std::size_t n, float* row_max) {
+  const auto pick = [](float a, float b) { return a > b ? a : b; };
+  float m[8];
+  std::fill(m, m + 8, -std::numeric_limits<float>::infinity());
+  for (std::size_t j = 0; j < n; ++j) m[j & 7] = pick(row[j], m[j & 7]);
+  float h[4];
+  for (int k = 0; k < 4; ++k) h[k] = pick(m[k + 4], m[k]);
+  const float h0 = pick(h[2], h[0]);
+  const float h1 = pick(h[3], h[1]);
+  const float mx = pick(h1, h0);
+  *row_max = mx;
+
+  float acc[8] = {};
+  for (std::size_t j = 0; j < n; ++j) {
+    float x = row[j] - mx;
+    x = x > detail::kExpMin ? x : detail::kExpMin;  // NaN -> kExpMin
+    const float k = std::nearbyint(x * detail::kExpLog2e);
+    float r = std::fma(k, -detail::kExpLn2Hi, x);
+    r = std::fma(k, -detail::kExpLn2Lo, r);
+    const float z = r * r;
+    float p = detail::kExpPoly[0];
+    for (int c = 1; c < 6; ++c) p = std::fma(p, r, detail::kExpPoly[c]);
+    p = std::fma(p, z, r);
+    const float y = p + 1.0f;
+    const float scale = std::bit_cast<float>(
+        static_cast<std::uint32_t>(static_cast<std::int32_t>(k) + 127) << 23);
+    acc[j & 7] = std::fma(y, scale, acc[j & 7]);
+  }
+  return ((acc[0] + acc[4]) + (acc[2] + acc[6])) +
+         ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+}
+
 struct SimdDispatch {
   detail::GemmFn nn = nullptr;
   detail::GemmFn tn = nullptr;
   detail::EpilogueFn bias = nullptr;
   detail::EpilogueFn bias_relu = nullptr;
+  // Engaged whenever the kernels and the CPU are there: one flavor, so no
+  // probe (see simd_kernels.hpp).
+  detail::MaxExpSumFn max_exp_sum = nullptr;
   const char* path = "scalar";
 };
 
@@ -235,6 +275,7 @@ const SimdDispatch& simd_dispatch() {
                        common::LogLevel::kInfo);
       return d;
     }
+    d.max_exp_sum = kt->max_exp_sum;
     const bool nn_fma = probe_matches(false, kt->gemm_nn_fma);
     const bool nn_mul = !nn_fma && probe_matches(false, kt->gemm_nn_muladd);
     const bool tn_fma = probe_matches(true, kt->gemm_tn_fma);
@@ -593,6 +634,15 @@ Tensor row_softmax(const Tensor& logits) {
     for (std::size_t j = 0; j < n; ++j) row[j] *= inv;
   }
   return out;
+}
+
+float max_exp_sum(const float* row, std::size_t n, float& row_max) {
+  const SimdDispatch& d = simd_dispatch();
+  if (d.max_exp_sum != nullptr &&
+      common::active_simd_tier() == common::SimdTier::kAvx2) {
+    return d.max_exp_sum(row, n, &row_max);
+  }
+  return max_exp_sum_scalar(row, n, &row_max);
 }
 
 std::vector<std::int32_t> row_argmax(const Tensor& t,

@@ -82,6 +82,12 @@ void transpose_into(Tensor& t, const Tensor& a);
 
 /// Row-wise softmax of a rank-2 tensor (numerically stabilized).
 Tensor row_softmax(const Tensor& logits);
+/// One row's log-sum-exp parts without materializing a softmax: sets
+/// `row_max` to max_j row[j] and returns sum_j exp(row[j] - row_max), so
+/// logsumexp(row) = row_max + log(sum). exp is a polynomial (~2 ulp, see
+/// tensor/simd_kernels.hpp) evaluated bit-identically by the scalar and
+/// AVX2 tiers, so the result does not depend on the SIMD tier.
+float max_exp_sum(const float* row, std::size_t n, float& row_max);
 /// Row-wise argmax of a rank-2 tensor. A non-null pool row-partitions
 /// large inputs (each row writes only its own output slot).
 std::vector<std::int32_t> row_argmax(const Tensor& t,

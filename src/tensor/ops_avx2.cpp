@@ -18,6 +18,8 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 namespace semcache::tensor::detail {
 namespace {
@@ -260,6 +262,76 @@ void bias_relu_avx2(std::size_t m, std::size_t n, const float* bias,
   }
 }
 
+// Polynomial exp of 8 lanes (constants and scheme in simd_kernels.hpp),
+// returned as mantissa part y and power-of-two scale; e^x = y * scale.
+inline void exp_parts(__m256 x, __m256& y, __m256& scale) {
+  x = _mm256_max_ps(x, _mm256_set1_ps(kExpMin));  // NaN lanes -> kExpMin
+  const __m256 n =
+      _mm256_round_ps(_mm256_mul_ps(x, _mm256_set1_ps(kExpLog2e)),
+                      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fmadd_ps(n, _mm256_set1_ps(-kExpLn2Hi), x);
+  r = _mm256_fmadd_ps(n, _mm256_set1_ps(-kExpLn2Lo), r);
+  const __m256 z = _mm256_mul_ps(r, r);
+  __m256 p = _mm256_set1_ps(kExpPoly[0]);
+  for (int c = 1; c < 6; ++c) {
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpPoly[c]));
+  }
+  p = _mm256_fmadd_ps(p, z, r);
+  y = _mm256_add_ps(p, _mm256_set1_ps(1.0f));
+  scale = _mm256_castsi256_ps(_mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23));
+}
+
+// First `rem` lanes set: kTailMask + 8 - rem.
+alignas(32) constexpr std::int32_t kTailMask[16] = {-1, -1, -1, -1, -1, -1,
+                                                    -1, -1, 0,  0,  0,  0,
+                                                    0,  0,  0,  0};
+
+float max_exp_sum_avx2(const float* row, std::size_t n, float* row_max) {
+  const std::size_t full = n & ~std::size_t{7};
+  const std::size_t rem = n - full;
+  const __m256i mask = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kTailMask + 8 - rem));
+  const __m256 neg_inf = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+
+  // max_ps(v, m) = v > m ? v : m, the scalar twin's per-lane update.
+  __m256 m = neg_inf;
+  for (std::size_t j = 0; j < full; j += 8) {
+    m = _mm256_max_ps(_mm256_loadu_ps(row + j), m);
+  }
+  if (rem != 0) {
+    const __m256 v = _mm256_blendv_ps(
+        neg_inf, _mm256_maskload_ps(row + full, mask), _mm256_castsi256_ps(mask));
+    m = _mm256_max_ps(v, m);
+  }
+  __m128 h = _mm_max_ps(_mm256_extractf128_ps(m, 1), _mm256_castps256_ps128(m));
+  h = _mm_max_ps(_mm_movehl_ps(h, h), h);
+  h = _mm_max_ss(_mm_shuffle_ps(h, h, 1), h);
+  const float mx = _mm_cvtss_f32(h);
+  *row_max = mx;
+
+  const __m256 vmx = _mm256_set1_ps(mx);
+  __m256 acc = _mm256_setzero_ps();
+  __m256 y;
+  __m256 scale;
+  for (std::size_t j = 0; j < full; j += 8) {
+    exp_parts(_mm256_sub_ps(_mm256_loadu_ps(row + j), vmx), y, scale);
+    acc = _mm256_fmadd_ps(y, scale, acc);
+  }
+  if (rem != 0) {
+    // Masked lanes contribute fma(+0, scale, acc) = acc exactly.
+    exp_parts(_mm256_sub_ps(_mm256_maskload_ps(row + full, mask), vmx), y,
+              scale);
+    y = _mm256_and_ps(y, _mm256_castsi256_ps(mask));
+    acc = _mm256_fmadd_ps(y, scale, acc);
+  }
+  __m128 s = _mm_add_ps(_mm256_castps256_ps128(acc),
+                        _mm256_extractf128_ps(acc, 1));
+  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
+  return _mm_cvtss_f32(s);
+}
+
 constexpr Avx2TensorKernels kKernels = {
     /*gemm_nn_fma=*/gemm<true, false>,
     /*gemm_nn_muladd=*/gemm<false, false>,
@@ -267,6 +339,7 @@ constexpr Avx2TensorKernels kKernels = {
     /*gemm_tn_muladd=*/gemm<false, true>,
     /*bias=*/bias_avx2,
     /*bias_relu=*/bias_relu_avx2,
+    /*max_exp_sum=*/max_exp_sum_avx2,
 };
 
 }  // namespace

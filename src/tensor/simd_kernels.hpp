@@ -34,6 +34,29 @@ using GemmFn = void (*)(std::size_t m, std::size_t k, std::size_t n,
 using EpilogueFn = void (*)(std::size_t m, std::size_t n, const float* bias,
                             float* c);
 
+/// One row's log-sum-exp parts (tensor::max_exp_sum): writes max_j row[j]
+/// to *row_max and returns sum_j exp(row[j] - max). Unlike the gemm family
+/// there is one flavor, because the exp is spelled with explicit fused
+/// multiply-adds in both tiers: element j feeds lane j % 8 in ascending j,
+/// and the lanes reduce as ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))
+/// — max reduces in the same tree — so the scalar twin in ops.cpp matches
+/// the AVX2 kernel bit for bit on every input.
+using MaxExpSumFn = float (*)(const float* row, std::size_t n,
+                              float* row_max);
+
+/// Constants of the polynomial exp both max_exp_sum tiers evaluate (the
+/// Cephes expf scheme): clamp x at kExpMin so 2^n stays a normal float,
+/// n = round(x log2 e), r = x - n ln2 in two fused steps (kExpLn2Hi is
+/// exact in 9 bits), e^r by a degree-6 polynomial on [-ln2/2, ln2/2]
+/// (~2 ulp), then scale by 2^n built from the exponent bits.
+inline constexpr float kExpMin = -87.0f;
+inline constexpr float kExpLog2e = 1.44269504088896341f;
+inline constexpr float kExpLn2Hi = 0.693359375f;
+inline constexpr float kExpLn2Lo = -2.12194440e-4f;
+inline constexpr float kExpPoly[6] = {1.9875691500e-4f, 1.3981999507e-3f,
+                                      8.3334519073e-3f, 4.1665795894e-2f,
+                                      1.6666665459e-1f, 5.0000001201e-1f};
+
 struct Avx2TensorKernels {
   GemmFn gemm_nn_fma;
   GemmFn gemm_nn_muladd;
@@ -41,6 +64,7 @@ struct Avx2TensorKernels {
   GemmFn gemm_tn_muladd;
   EpilogueFn bias;
   EpilogueFn bias_relu;
+  MaxExpSumFn max_exp_sum;
 };
 
 /// The AVX2 kernel table, or nullptr when this build carries no AVX2 code

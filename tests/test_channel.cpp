@@ -278,10 +278,13 @@ TEST(Pipeline, LosslessOnCleanChannel) {
   EXPECT_GT(pipe->stats().airtime_bits, 96u);  // code overhead on the air
 }
 
+/// The noise key the Rng adapters draw from a copy of `rng`.
+std::uint64_t key_of(Rng rng) { return common::noise_key(rng); }
+
 TEST(Pipeline, TransmitBatchMatchesSequentialBitsAndStats) {
-  // Batch message i must consume exactly rngs[i]'s stream, so its bits are
-  // identical to a sequential transmit with the same fork — and the stats
-  // must account per MESSAGE, not per transmit_batch call.
+  // Batch message i must draw only from the stream keyed keys[i], so its
+  // bits are identical to a sequential transmit whose rng yields that key
+  // — and the stats must account per MESSAGE, not per transmit_batch call.
   auto batched = make_awgn_pipeline(std::make_unique<HammingCode>(),
                                     Modulation::kQpsk, 6.0, 4);
   auto sequential = make_awgn_pipeline(std::make_unique<HammingCode>(),
@@ -289,13 +292,13 @@ TEST(Pipeline, TransmitBatchMatchesSequentialBitsAndStats) {
   Rng payload_rng(19);
   const Rng parent(19);
   std::vector<BitVec> payloads;
-  std::vector<Rng> batch_rngs;
+  std::vector<std::uint64_t> batch_keys;
   for (std::uint64_t i = 0; i < 5; ++i) {
     payloads.push_back(random_bits(96, payload_rng));
-    batch_rngs.push_back(parent.fork(i));
+    batch_keys.push_back(key_of(parent.fork(i)));
   }
   const std::vector<BitVec> received =
-      batched->transmit_batch(payloads, batch_rngs);
+      test::transmit_batch_booked(*batched, payloads, batch_keys);
 
   ASSERT_EQ(received.size(), payloads.size());
   std::size_t expected_payload_bits = 0;
@@ -315,10 +318,10 @@ TEST(Pipeline, TransmitBatchMatchesSequentialBitsAndStats) {
 }
 
 TEST(Pipeline, TransmitBatchOnPoolBitIdenticalToSequential) {
-  // With a worker pool attached, transmit_batch runs the per-message
-  // passes concurrently but must stay bit-identical — received bits AND
-  // stats — to the detached pipeline, for every worker count. Message i
-  // consumes only rngs[i] and stats commit in index order after the join.
+  // With a worker pool, transmit_batch runs the per-message passes
+  // concurrently but must stay bit-identical — received bits AND stats —
+  // to the pool-less call, for every worker count. Message i draws only
+  // from keys[i] and stats commit in index order after the join.
   auto make = [] {
     return make_awgn_pipeline(std::make_unique<ConvolutionalCode>(),
                               Modulation::kQam16, 4.0, 8);
@@ -330,24 +333,23 @@ TEST(Pipeline, TransmitBatchOnPoolBitIdenticalToSequential) {
     payloads.push_back(random_bits(120, payload_rng));
   }
   auto fork_all = [&] {
-    std::vector<Rng> rngs;
+    std::vector<std::uint64_t> keys;
     for (std::uint64_t i = 0; i < payloads.size(); ++i) {
-      rngs.push_back(parent.fork(i));
+      keys.push_back(key_of(parent.fork(i)));
     }
-    return rngs;
+    return keys;
   };
 
   auto reference = make();
-  std::vector<Rng> ref_rngs = fork_all();
   const std::vector<BitVec> expected =
-      reference->transmit_batch(payloads, ref_rngs);
+      test::transmit_batch_booked(*reference, payloads, fork_all());
 
   for (const std::size_t workers : {1u, 2u, 4u}) {
     common::ThreadPool pool(workers);
     auto pooled = make();
-    pooled->set_thread_pool(&pool);
-    std::vector<Rng> rngs = fork_all();
-    EXPECT_EQ(pooled->transmit_batch(payloads, rngs), expected)
+    EXPECT_EQ(
+        test::transmit_batch_booked(*pooled, payloads, fork_all(), {}, &pool),
+        expected)
         << workers << " workers";
     EXPECT_EQ(pooled->stats().messages, reference->stats().messages);
     EXPECT_EQ(pooled->stats().payload_bits, reference->stats().payload_bits);
@@ -355,12 +357,12 @@ TEST(Pipeline, TransmitBatchOnPoolBitIdenticalToSequential) {
   }
 }
 
-TEST(Pipeline, TransmitBatchRejectsRngCountMismatch) {
+TEST(Pipeline, TransmitBatchRejectsKeyCountMismatch) {
   auto pipe = make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.0);
   Rng rng(20);
   std::vector<BitVec> payloads = {random_bits(8, rng)};
-  std::vector<Rng> rngs;  // empty: one rng short
-  EXPECT_THROW(pipe->transmit_batch(payloads, rngs), Error);
+  std::vector<std::uint64_t> keys;  // empty: one key short
+  EXPECT_THROW(test::transmit_batch_booked(*pipe, payloads, keys), Error);
 }
 
 TEST(Pipeline, MakeCodeFactory) {

@@ -4,7 +4,8 @@
 // standard check value, the textbook Hamming(7,4) codeword table, and the
 // classic impulse response of the K=3 (7,5) convolutional code. These
 // pin the wire format — a refactor that changes any emitted bit fails
-// loudly even if round-trips still succeed.
+// loudly even if round-trips still succeed. The noise-key and idiolect
+// sections pin the identity-keyed streams the serving path draws from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +16,14 @@
 #include "channel/convolutional.hpp"
 #include "channel/crc.hpp"
 #include "channel/hamming.hpp"
+#include "channel/physical.hpp"
+#include "channel/pipeline.hpp"
 #include "channel/repetition.hpp"
 #include "common/bits.hpp"
+#include "common/hashing.hpp"
+#include "common/noise.hpp"
 #include "common/rng.hpp"
+#include "core/system.hpp"
 #include "test_util.hpp"
 
 namespace semcache::channel {
@@ -157,75 +163,95 @@ TEST_F(ChannelGoldenRng, ViterbiCorrectsIsolatedBitErrors) {
   }
 }
 
-// --- Channel-fork RNG discipline ---------------------------------------
+// --- Identity-keyed channel noise --------------------------------------
 
-// The transmit data plane forks the system RNG once per message with tag
-// 0xC4A2 ^ (message_index * 2654435761), where message_index is the
-// system-wide message counter — whether the message rides transmit_async
-// or a transmit_many batch. These goldens pin (a) the tag formula, (b) the
-// derived fork seeds, and (c) the first raw mt19937_64 outputs of each
-// fork (fully specified by the standard, so the expectations are
-// implementation-independent). A refactor that reorders or re-keys the
-// per-message forks inside the batch loop shifts every downstream
-// experiment; it must fail here loudly instead of silently.
+// The serving path keys message i's channel noise (i = the system-wide
+// message counter, whether the message rides transmit_async, a
+// transmit_many batch, a wave or a degraded serve) as
+// NoiseStream(message_noise_key(seed, i)). These goldens pin (a) the key
+// derivation, (b) the first raw stream words, and (c) the first normals of
+// a stream, all computed by in-repo integer and IEEE arithmetic (no
+// standard-library distribution), so they are implementation-independent.
+// A refactor that re-keys messages or changes the ziggurat shifts every
+// downstream experiment; it must fail here loudly instead of silently.
 
-constexpr std::uint64_t channel_fork_tag(std::uint64_t index) {
-  return 0xC4A2 ^ (index * 2654435761ULL);
-}
-
-TEST(ChannelForkGolden, TagFormulaPinned) {
-  EXPECT_EQ(channel_fork_tag(0), 0xC4A2ULL);
-  EXPECT_EQ(channel_fork_tag(1), 0x9E37BD13ULL);
-  EXPECT_EQ(channel_fork_tag(2), 0x13C6E37C0ULL);
-  EXPECT_EQ(channel_fork_tag(3), 0x1DAA6A9B1ULL);
-}
-
-TEST(ChannelForkGolden, ForkStreamsPinnedForDefaultSystemSeed) {
+TEST(NoiseKeyGolden, KeyDerivationPinnedForDefaultSystemSeed) {
   // seed 42 = SystemConfig's default seed.
-  const Rng parent(42);
-  constexpr std::uint64_t expect_seed[4] = {
-      0x9FEEE877C530868CULL, 0x4456973479A19DBBULL, 0x737CADD5285C2974ULL,
-      0xC8F90DAFAF5DC54AULL};
-  constexpr std::uint64_t expect_out[4][2] = {
-      {0x57EFE68E9B6B96C2ULL, 0x4F53630619108FA7ULL},
-      {0xCFC075C00A5BCD15ULL, 0x20E086FEAC881CA3ULL},
-      {0x085C2487AFF6747EULL, 0xAC38D883D5509D9AULL},
-      {0x4B2551853097D90AULL, 0x336590C1D527F846ULL}};
+  constexpr std::uint64_t expect[4] = {
+      0x73F4887776860F0FULL, 0x91010D3153BEC669ULL, 0x68C4910986B12C7DULL,
+      0x154D9C08C74E79BFULL};
   for (std::uint64_t i = 0; i < 4; ++i) {
-    Rng fork = parent.fork(channel_fork_tag(i));
-    EXPECT_EQ(fork.seed(), expect_seed[i]) << "message index " << i;
-    EXPECT_EQ(fork.engine()(), expect_out[i][0]) << "message index " << i;
-    EXPECT_EQ(fork.engine()(), expect_out[i][1]) << "message index " << i;
+    EXPECT_EQ(message_noise_key(42, i), expect[i]) << "message index " << i;
+    EXPECT_EQ(message_noise_key(42, i),
+              common::identity_mix(42, kChannelNoiseTag, i, 0, 0));
+  }
+  static_assert(message_noise_key(42, 0) == 0x73F4887776860F0FULL);
+}
+
+TEST(NoiseKeyGolden, KeyDerivationPinnedForGoldenSuiteSeed) {
+  constexpr std::uint64_t expect[4] = {
+      0xB5D22424522338CEULL, 0xD13C9C059070B991ULL, 0x09F4DBC17ED7C877ULL,
+      0xD5BBE66B10DB2663ULL};
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(message_noise_key(7, i), expect[i]) << "message index " << i;
   }
 }
 
-TEST(ChannelForkGolden, ForkStreamsPinnedForGoldenSuiteSeed) {
-  const Rng parent(7);
-  constexpr std::uint64_t expect_seed[4] = {
-      0x215EF22BC66D3D54ULL, 0x0EA15DDA3B24A004ULL, 0x2E6791162CF02BF8ULL,
-      0xA976593491421AD3ULL};
-  constexpr std::uint64_t expect_out0[4] = {
-      0x617283F428EC03E3ULL, 0x4C48055CCFC313A4ULL, 0xD60711E95216B657ULL,
-      0x0FE739223B1FF703ULL};
+TEST(NoiseKeyGolden, StreamWordsPinned) {
+  constexpr std::uint64_t expect[4][2] = {
+      {0xB045F716A05C9C69ULL, 0x274C33D0162385E9ULL},
+      {0xD5689AA492F62623ULL, 0x84945D70E946F6AEULL},
+      {0x9CE4252B91FEB75FULL, 0xEA7244D49D04E486ULL},
+      {0x5CB2F7568D0169CDULL, 0x70A368BC07940174ULL}};
   for (std::uint64_t i = 0; i < 4; ++i) {
-    Rng fork = parent.fork(channel_fork_tag(i));
-    EXPECT_EQ(fork.seed(), expect_seed[i]) << "message index " << i;
-    EXPECT_EQ(fork.engine()(), expect_out0[i]) << "message index " << i;
+    common::NoiseStream s(message_noise_key(42, i));
+    EXPECT_EQ(s.next(), expect[i][0]) << "message index " << i;
+    EXPECT_EQ(s.next(), expect[i][1]) << "message index " << i;
   }
+  // The state is one word: draw k is splitmix64 of key + k * gamma.
+  common::NoiseStream s(5);
+  std::uint64_t state = 5;
+  for (int k = 0; k < 3; ++k) EXPECT_EQ(s.next(), splitmix64(state));
 }
 
-TEST(ChannelForkGolden, ForkIsConstAndOrderIndependent) {
-  // fork() derives the child purely from (parent seed, tag): it must not
-  // advance the parent stream, and fork order must not matter — the batch
-  // loop relies on both to reproduce the sequential per-message streams.
-  Rng a(42), b(42);
-  (void)a.fork(channel_fork_tag(3));
-  (void)a.fork(channel_fork_tag(1));
-  const std::uint64_t after_forks = a.engine()();
-  const std::uint64_t untouched = b.engine()();
-  EXPECT_EQ(after_forks, untouched);
-  EXPECT_EQ(a.fork(channel_fork_tag(2)).seed(),
-            b.fork(channel_fork_tag(2)).seed());
+TEST(NoiseKeyGolden, FirstNormalsPinned) {
+  constexpr double expect_msg0[6] = {
+      0x1.6e740b7f424bbp-2,  -0x1.50adf47f99e53p-1, -0x1.331559a1a5fcp-2,
+      0x1.1f273fb278414p-1,  0x1.a288d2389f30dp-1,  0x1.3bb0d5ab11b5ap-2};
+  common::NoiseStream s(message_noise_key(42, 0));
+  for (int k = 0; k < 6; ++k) EXPECT_EQ(s.gaussian(), expect_msg0[k]) << k;
+
+  constexpr double expect_key0[4] = {
+      0x1.5c52033aeaf6fp+0, -0x1.99fc2be064ecp-4, -0x1.42c5c58ae3dccp+0,
+      0x1.affecadc9e3ddp-1};
+  common::NoiseStream z(0);
+  for (int k = 0; k < 4; ++k) EXPECT_EQ(z.gaussian(), expect_key0[k]) << k;
+}
+
+TEST(NoiseKeyGolden, RngAdapterDrawsExactlyOneKey) {
+  // apply/transmit(Rng&) key one stream from one engine draw and leave the
+  // rng one word further along — the contract the adapters document.
+  Rng a(42);
+  Rng b(42);
+  std::vector<Symbol> via_rng(5, Symbol(1.0, -1.0));
+  std::vector<Symbol> via_key = via_rng;
+  AwgnChannel awgn(3.0);
+  awgn.apply(via_rng, a);
+  common::NoiseStream noise(b.engine()());
+  awgn.distort(via_key, noise, 0);
+  EXPECT_EQ(via_rng, via_key);
+  EXPECT_EQ(a.engine()(), b.engine()());
+}
+
+// --- Idiolect fork ------------------------------------------------------
+
+TEST(IdiolectForkGolden, StableHashTagPinned) {
+  // register_user forks the idiolect RNG with the FNV-1a hash of the name
+  // (std::hash is implementation-defined); pin one user's tag and the
+  // resulting fork seed under the default system seed.
+  EXPECT_EQ(core::idiolect_fork_tag("alice"), 0xAA92C3CCA816CDA5ULL);
+  EXPECT_EQ(Rng(42).fork(core::idiolect_fork_tag("alice")).seed(),
+            0x4A251CFA6409203FULL);
 }
 
 // --- Repetition at several rates ---------------------------------------

@@ -253,6 +253,13 @@ TEST(GilbertElliott, BatchMatchesSequentialUnderPool) {
     return rngs;
   };
 
+  // The batch entry takes the keys the Rng adapters would draw.
+  const auto noise_keys = [&] {
+    std::vector<std::uint64_t> keys;
+    for (Rng& r : fork_rngs()) keys.push_back(common::noise_key(r));
+    return keys;
+  };
+
   auto sequential = make();
   std::vector<BitVec> expected;
   {
@@ -271,18 +278,17 @@ TEST(GilbertElliott, BatchMatchesSequentialUnderPool) {
       std::unique_ptr<common::ThreadPool> pool;
       if (threads > 0) {
         pool = std::make_unique<common::ThreadPool>(threads);
-        batch->set_thread_pool(pool.get());
       }
-      std::vector<Rng> rngs = fork_rngs();
       const std::vector<BitVec> got =
-          batch->transmit_batch(payloads, rngs, slots);
+          test::transmit_batch_booked(*batch, payloads, noise_keys(), slots,
+                                      pool.get());
       if (soft) {
         // Soft vs hard may legitimately differ (that is the point); the
         // pinned property is pool-invariance, checked against threads=0.
         auto ref = make();
         ref->set_soft_decision(true);
-        std::vector<Rng> ref_rngs = fork_rngs();
-        EXPECT_EQ(got, ref->transmit_batch(payloads, ref_rngs, slots));
+        EXPECT_EQ(got, test::transmit_batch_booked(*ref, payloads,
+                                                   noise_keys(), slots));
       } else {
         EXPECT_EQ(got, expected);
       }

@@ -71,6 +71,19 @@ TEST(Rng, ForkIsDeterministicAndIndependent) {
   EXPECT_TRUE(any_diff);
 }
 
+TEST(Rng, ForkIsConstAndOrderIndependent) {
+  // fork() derives the child purely from (parent seed, tag): it must not
+  // advance the parent stream, and fork order must not matter — the
+  // fine-tune and idiolect forks rely on both.
+  Rng a(42), b(42);
+  (void)a.fork(3);
+  (void)a.fork(1);
+  const std::uint64_t after_forks = a.engine()();
+  const std::uint64_t untouched = b.engine()();
+  EXPECT_EQ(after_forks, untouched);
+  EXPECT_EQ(a.fork(2).seed(), b.fork(2).seed());
+}
+
 TEST(Rng, UniformRange) {
   Rng rng(5);
   for (int i = 0; i < 1000; ++i) {

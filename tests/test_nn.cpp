@@ -218,6 +218,47 @@ TEST(Loss, CrossEntropyRejectsBadTarget) {
   EXPECT_THROW(ce.forward(logits, t), Error);
 }
 
+TEST(Loss, FusedCrossEntropyMatchesSoftmaxCrossEntropy) {
+  // The forward-only serving CE (logsumexp - target logit, polynomial exp)
+  // agrees with the training CE to float rounding, across logit scales
+  // and row widths that exercise the 8-lane body and its tail.
+  Rng rng(31);
+  for (const std::size_t cols : {1u, 5u, 8u, 13u, 48u, 67u}) {
+    for (const float scale : {0.1f, 3.0f, 40.0f}) {
+      const Tensor logits = Tensor::uniform({6, cols}, scale, rng);
+      std::vector<std::int32_t> targets;
+      for (std::size_t r = 0; r < 6; ++r) {
+        targets.push_back(static_cast<std::int32_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(cols) - 1)));
+      }
+      SoftmaxCrossEntropy ce;
+      const double ref = ce.forward(logits, targets);
+      const double got = cross_entropy_mean(logits.data(), 6, cols, targets);
+      EXPECT_NEAR(got, ref, 2e-6 * std::max(1.0, ref))
+          << cols << " cols, scale " << scale;
+    }
+  }
+}
+
+TEST(Loss, FusedCrossEntropyKnownValueAndValidation) {
+  Tensor logits({2, 4});
+  const std::vector<std::int32_t> t = {2, 0};
+  EXPECT_NEAR(cross_entropy_mean(logits.data(), 2, 4, t), std::log(4.0),
+              1e-7);
+  // A target 20 below the max costs the gap (the exp sum is float, so
+  // 1 + 2e^-20 rounds to 1); one far below costs the -log(1e-12) cap
+  // SoftmaxCrossEntropy's clamp implies.
+  const float near_row[3] = {0.0f, 20.0f, 0.0f};
+  const float far_row[3] = {0.0f, 200.0f, 0.0f};
+  const std::vector<std::int32_t> low = {0};
+  EXPECT_NEAR(cross_entropy_mean(near_row, 1, 3, low), 20.0, 1e-6);
+  EXPECT_NEAR(cross_entropy_mean(far_row, 1, 3, low), -std::log(1e-12),
+              1e-12);
+  const std::vector<std::int32_t> bad = {4, 0};
+  EXPECT_THROW(cross_entropy_mean(logits.data(), 2, 4, bad), Error);
+  EXPECT_THROW(cross_entropy_mean(logits.data(), 1, 4, t), Error);
+}
+
 TEST(Loss, MseKnownValue) {
   Tensor a({2}, {1, 3});
   Tensor b({2}, {2, 1});

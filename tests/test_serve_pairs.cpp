@@ -20,8 +20,11 @@
 // The suite runs under the TSan CI job like every tier-1 suite.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdlib>
 #include <memory>
+#include <type_traits>
 #include <string>
 #include <vector>
 
@@ -506,6 +509,75 @@ TEST(ServePairsEquivalence, WaveEqualsSequentialTransmitMany) {
       }
     }
   }
+}
+
+/// SystemStats viewed as its counters, so per-pair deltas need no field
+/// list (a counter added later is covered without touching this test).
+using StatWords = std::array<std::uint64_t, sizeof(SystemStats) / 8>;
+static_assert(std::is_trivially_copyable_v<SystemStats> &&
+              sizeof(SystemStats) % 8 == 0);
+
+SystemStats stats_minus(const SystemStats& after, const SystemStats& before) {
+  StatWords a = std::bit_cast<StatWords>(after);
+  const StatWords b = std::bit_cast<StatWords>(before);
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] -= b[i];
+  return std::bit_cast<SystemStats>(a);
+}
+
+/// A wave's stats() is the sum of its pairs' deltas: the commit phase
+/// folds each pair-local SystemStats with operator+=, so no counter can
+/// be left behind. Each pair's delta is measured on a sequential twin
+/// (transmit_many books straight into the global stats, no fold), and the
+/// comparison is SystemStats' defaulted ==, over every counter.
+TEST(ServePairsEquivalence, WaveStatsEqualSumOfPairDeltas) {
+  unsetenv("SEMCACHE_THREADS");
+  struct Spec {
+    const char* sender;
+    const char* receiver;
+    std::vector<std::size_t> domains;
+  };
+  // a -> b crosses edges and fine-tunes (trigger 4); c -> a stays on
+  // edge 0; d -> b crosses edges in two domains.
+  const std::vector<Spec> specs = {{"a", "b", {0, 0, 0, 0, 0, 0}},
+                                   {"c", "a", {1, 1, 1, 1, 1}},
+                                   {"d", "b", {0, 1, 0}}};
+  auto twin = SemanticEdgeSystem::build(pairs_config(616, 0));
+  auto waved = SemanticEdgeSystem::build(pairs_config(616, 2));
+  for (auto* system : {twin.get(), waved.get()}) {
+    system->register_user("a", 0, nullptr);
+    system->register_user("b", 1, nullptr);
+    system->register_user("c", 0, nullptr);
+    system->register_user("d", 1, nullptr);
+  }
+  ASSERT_EQ(twin->stats(), waved->stats());
+  const SystemStats baseline = waved->stats();
+
+  std::vector<SemanticEdgeSystem::PairBatch> wave(specs.size());
+  std::vector<std::vector<text::Sentence>> sequential(specs.size());
+  for (std::size_t p = 0; p < specs.size(); ++p) {
+    wave[p].sender = specs[p].sender;
+    wave[p].receiver = specs[p].receiver;
+    for (const std::size_t d : specs[p].domains) {
+      sequential[p].push_back(twin->sample_message(specs[p].sender, d));
+      wave[p].messages.push_back(waved->sample_message(specs[p].sender, d));
+    }
+  }
+
+  SystemStats sum = baseline;
+  for (std::size_t p = 0; p < specs.size(); ++p) {
+    const SystemStats before = twin->stats();
+    twin->transmit_many(specs[p].sender, specs[p].receiver,
+                        std::move(sequential[p]),
+                        [](std::size_t, TransmitReport) {});
+    twin->simulator().run();
+    const SystemStats delta = stats_minus(twin->stats(), before);
+    EXPECT_EQ(delta.messages, specs[p].domains.size()) << "pair " << p;
+    sum += delta;
+  }
+  EXPECT_GT(sum.updates, 0u);  // the fine-tune path folded too
+  serve_wave(*waved, std::move(wave));
+  EXPECT_EQ(waved->stats(), sum);
+  expect_stats_equal(waved->stats(), sum);  // per-field diagnostics
 }
 
 /// General-cache eviction contention: a cache that fits only one of the

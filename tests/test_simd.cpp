@@ -258,6 +258,45 @@ TEST(SimdKernels, NonFiniteInputsTwinBitwise) {
   EXPECT_TRUE(BitEqual(simd_out, scalar_out));
 }
 
+TEST(SimdKernels, MaxExpSumTierTwinBitwise) {
+  // The fused mismatch CE's kernel: lane assignment, reduction tree and
+  // every fused multiply-add are shared by both tiers, so max and sum
+  // twin bit for bit at every width (8-lane body, masked tail) and on
+  // edge values (huge gaps that clamp, infinities, NaN, signed zeros).
+  if (!avx2_host()) GTEST_SKIP() << "host lacks AVX2+FMA";
+  Rng rng(23);
+  std::vector<std::vector<float>> rows;
+  for (std::size_t n = 1; n <= 70; ++n) {
+    std::vector<float> row(n);
+    for (float& v : row) v = static_cast<float>(rng.uniform(-30.0, 30.0));
+    rows.push_back(row);
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  rows.push_back({0.0f, -0.0f, -0.0f, 0.0f, 1e-30f, -200.0f, 88.0f, -1e30f,
+                  3.0f});
+  rows.push_back({-inf, 1.0f, 2.0f, -inf, 0.5f, -inf, -inf, -inf, 4.0f});
+  rows.push_back({1.0f, std::numeric_limits<float>::quiet_NaN(), 2.0f, 3.0f,
+                  -1.0f, 0.0f, 5.0f, 6.0f, 7.0f, 8.0f, 9.0f});
+  for (const std::vector<float>& row : rows) {
+    float max_scalar = 0.0f;
+    float max_simd = 0.0f;
+    float sum_scalar = 0.0f;
+    float sum_simd = 0.0f;
+    {
+      TierGuard guard(common::SimdTier::kScalar);
+      sum_scalar = tensor::max_exp_sum(row.data(), row.size(), max_scalar);
+    }
+    {
+      TierGuard guard(common::SimdTier::kAvx2);
+      sum_simd = tensor::max_exp_sum(row.data(), row.size(), max_simd);
+    }
+    EXPECT_EQ(std::memcmp(&max_scalar, &max_simd, sizeof(float)), 0)
+        << row.size() << " cols";
+    EXPECT_EQ(std::memcmp(&sum_scalar, &sum_simd, sizeof(float)), 0)
+        << row.size() << " cols";
+  }
+}
+
 TEST(SimdKernels, TierTwinComposesWithThreadPool) {
   // Row-partitioned pooled execution must hand each partition to the same
   // kernel family: every worker count, both tiers, one bit pattern.

@@ -14,7 +14,9 @@
 #include <cstdlib>
 #include <iostream>
 #include <span>
+#include <vector>
 
+#include "channel/pipeline.hpp"
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "core/system.hpp"
@@ -58,6 +60,21 @@ class SeededRngTest : public ::testing::Test {
   explicit SeededRngTest(std::uint64_t seed = 42) : rng_(seed) {}
   Rng rng_;
 };
+
+/// ChannelPipeline::transmit_batch booking into the pipeline's own stats
+/// (collect into a sink, then fold), the way the sequential transmit_at
+/// books — what the batch-vs-sequential suites compare against.
+inline std::vector<BitVec> transmit_batch_booked(
+    channel::ChannelPipeline& pipe, const std::vector<BitVec>& payloads,
+    std::span<const std::uint64_t> keys,
+    std::span<const std::uint64_t> slots = {},
+    common::ThreadPool* pool = nullptr) {
+  channel::PipelineStats sink;
+  std::vector<BitVec> received =
+      pipe.transmit_batch(payloads, keys, slots, sink, pool);
+  pipe.fold_stats(sink);
+  return received;
+}
 
 /// Element-wise near-equality over two float spans. Reports the first
 /// offending index, the values, and the sizes on failure so EXPECT_TRUE

@@ -62,10 +62,13 @@ ScaleResult run(std::size_t pairs, std::size_t domains, bool decoder_copy,
         const auto domain = static_cast<std::size_t>(
             drng.uniform_int(0, static_cast<std::int64_t>(
                                     system->world().num_domains()) - 1));
-        system->transmit_async(
-            senders[p], receivers[p],
-            system->sample_message(senders[p], domain),
-            [&](core::TransmitReport r) {
+        std::vector<core::SemanticEdgeSystem::PairBatch> wave(1);
+        wave[0].sender = senders[p];
+        wave[0].receiver = receivers[p];
+        wave[0].messages.push_back(system->sample_message(senders[p], domain));
+        system->transmit_pairs(
+            std::move(wave),
+            [&](std::size_t, std::size_t, core::TransmitReport r) {
               latency.add(r.latency_s * 1e3);
               p95.add(r.latency_s * 1e3);
             });

@@ -1,9 +1,9 @@
-// E13 — Batched transmit_many() serving throughput.
+// E13 — Batched serving throughput (one-pair transmit_pairs waves).
 //
 // The survey literature's throughput lever for semantic edge serving is
-// amortizing per-message inference: transmit_many stacks N messages from a
-// user pair through one encode/quantize/channel/decode pass per (domain,
-// fine-tune interval) group. This bench measures delivered end-to-end
+// amortizing per-message inference: a one-pair transmit_pairs wave stacks
+// N messages from a user pair through one encode/quantize/channel/decode
+// pass per (domain, fine-tune interval) group. This bench measures delivered end-to-end
 // throughput (data plane + timing-plane drain) as the batch size grows,
 // with the fine-tune path disabled (pure serving) and enabled (trigger 24,
 // the default serving+adaptation mix). speedup is per-message throughput
@@ -53,9 +53,13 @@ BatchResult run(std::size_t batch, bool finetune) {
     std::vector<text::Sentence> chunk(
         messages.begin() + static_cast<std::ptrdiff_t>(pos),
         messages.begin() + static_cast<std::ptrdiff_t>(pos + n));
-    system->transmit_many(
-        "s", "r", std::move(chunk),
-        [&delivered](std::size_t, core::TransmitReport) { ++delivered; });
+    std::vector<core::SemanticEdgeSystem::PairBatch> wave(1);
+    wave[0].sender = "s";
+    wave[0].receiver = "r";
+    wave[0].messages = std::move(chunk);
+    system->transmit_pairs(std::move(wave),
+                           [&delivered](std::size_t, std::size_t,
+                                        core::TransmitReport) { ++delivered; });
     system->simulator().run();
   }
   const auto end = std::chrono::steady_clock::now();
@@ -73,7 +77,7 @@ BatchResult run(std::size_t batch, bool finetune) {
 
 int main(int argc, char** argv) {
   metrics::Table table(
-      "E13 — batched transmit_many serving throughput (192 msgs/config)",
+      "E13 — batched serving throughput (192 msgs/config)",
       {"batch", "finetune", "wall_ms", "msgs_per_s", "us_per_msg", "updates",
        "speedup"});
   for (const bool finetune : {false, true}) {

@@ -186,11 +186,24 @@ static void BM_SelectorForward(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectorForward);
 
-// End-to-end batched data plane: transmit_many of N cross-edge messages
+// Serve `messages` from "s" to "r" as one one-pair transmit_pairs wave and
+// drain the simulator (the delivery chains are part of the measurement).
+static void serve_pair_drained(core::SemanticEdgeSystem& system,
+                               std::vector<text::Sentence> messages) {
+  std::vector<core::SemanticEdgeSystem::PairBatch> wave(1);
+  wave[0].sender = "s";
+  wave[0].receiver = "r";
+  wave[0].messages = std::move(messages);
+  system.transmit_pairs(std::move(wave),
+                        [](std::size_t, std::size_t, core::TransmitReport) {});
+  system.simulator().run();
+}
+
+// End-to-end batched data plane: a one-pair wave of N cross-edge messages
 // (encode/quantize/channel/decode plus the timing-plane event chains,
 // drained per batch). items/s counts messages, so per-message amortization
-// vs. Arg(1) — the transmit_async path — is directly readable. The
-// fine-tune trigger is set above the batch size and the buffer cleared
+// vs. Arg(1) — the single-message transmit() shape — is directly readable.
+// The fine-tune trigger is set above the batch size and the buffer cleared
 // between iterations, so this measures the pure serving path.
 static void BM_TransmitBatch(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
@@ -220,9 +233,7 @@ static void BM_TransmitBatch(benchmark::State& state) {
   }();
 
   // Warm the (s, domain 0) slot so find_slot below never sees null.
-  system->transmit_many("s", "r", {pool->front()},
-                        [](std::size_t, core::TransmitReport) {});
-  system->simulator().run();
+  serve_pair_drained(*system, {pool->front()});
   auto* buffer =
       system->edge_state(0).find_slot("s", 0)->buffer.get();
   buffer->clear();
@@ -230,9 +241,7 @@ static void BM_TransmitBatch(benchmark::State& state) {
   for (auto _ : state) {
     std::vector<text::Sentence> batch(pool->begin(),
                                       pool->begin() + static_cast<std::ptrdiff_t>(count));
-    system->transmit_many("s", "r", std::move(batch),
-                          [](std::size_t, core::TransmitReport) {});
-    system->simulator().run();
+    serve_pair_drained(*system, std::move(batch));
     state.PauseTiming();
     buffer->clear();  // keep the transaction ring from growing unboundedly
     state.ResumeTiming();
@@ -282,18 +291,14 @@ static void BM_TransmitBatchThreaded(benchmark::State& state) {
   core::SemanticEdgeSystem* system = (*systems)[threads];
   const std::vector<text::Sentence>& pool = (*pools)[threads];
 
-  system->transmit_many("s", "r", {pool.front()},
-                        [](std::size_t, core::TransmitReport) {});
-  system->simulator().run();
+  serve_pair_drained(*system, {pool.front()});
   auto* buffer = system->edge_state(0).find_slot("s", 0)->buffer.get();
   buffer->clear();
 
   for (auto _ : state) {
     std::vector<text::Sentence> batch(
         pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(count));
-    system->transmit_many("s", "r", std::move(batch),
-                          [](std::size_t, core::TransmitReport) {});
-    system->simulator().run();
+    serve_pair_drained(*system, std::move(batch));
     state.PauseTiming();
     buffer->clear();  // keep the transaction ring from growing unboundedly
     state.ResumeTiming();
@@ -657,18 +662,14 @@ static void BM_TransmitBatchSoftConv(benchmark::State& state) {
     return msgs;
   }();
 
-  system->transmit_many("s", "r", {pool->front()},
-                        [](std::size_t, core::TransmitReport) {});
-  system->simulator().run();
+  serve_pair_drained(*system, {pool->front()});
   auto* buffer = system->edge_state(0).find_slot("s", 0)->buffer.get();
   buffer->clear();
 
   for (auto _ : state) {
     std::vector<text::Sentence> batch(
         pool->begin(), pool->begin() + static_cast<std::ptrdiff_t>(count));
-    system->transmit_many("s", "r", std::move(batch),
-                          [](std::size_t, core::TransmitReport) {});
-    system->simulator().run();
+    serve_pair_drained(*system, std::move(batch));
     state.PauseTiming();
     buffer->clear();
     state.ResumeTiming();

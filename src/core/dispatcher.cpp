@@ -120,22 +120,21 @@ std::size_t ParallelDispatcher::flush_sharded(
     TransmitReport report;
   };
   std::vector<std::vector<Completion>> collected(num_shards);
+  // Shard s's completion: buffer under the pair's global index.
+  const auto collect_into = [&global_pair, &collected](std::size_t s) {
+    return [&globals = global_pair[s], &out = collected[s]](
+               std::size_t pair, std::size_t index, TransmitReport report) {
+      out.push_back({globals[pair], index, std::move(report)});
+    };
+  };
   std::vector<std::exception_ptr> errors(num_shards);
   std::vector<std::thread> threads;
   for (std::size_t s = 0; s < num_shards; ++s) {
     if (shard_queues[s].empty() || degraded[s]) continue;
-    threads.emplace_back([this, s, &shard_queues, &global_pair, &collected,
-                          &errors] {
+    threads.emplace_back([this, s, &shard_queues, &collect_into, &errors] {
       try {
         SemanticEdgeSystem& shard = sharded_->shard(s);
-        const std::vector<std::size_t>& globals = global_pair[s];
-        std::vector<Completion>& out = collected[s];
-        shard.transmit_pairs(
-            std::move(shard_queues[s]),
-            [&globals, &out](std::size_t pair, std::size_t index,
-                             TransmitReport report) {
-              out.push_back({globals[pair], index, std::move(report)});
-            });
+        shard.transmit_pairs(std::move(shard_queues[s]), collect_into(s));
         shard.simulator().run();
       } catch (...) {
         errors[s] = std::current_exception();
@@ -163,8 +162,8 @@ std::size_t ParallelDispatcher::flush_sharded(
                      "(see SystemStats::degraded_serves)");
   }
 
-  // Graceful degradation: serve every stalled/failed shard's pairs from
-  // its FROZEN general-model replicas on the calling thread. State on the
+  // Graceful degradation: serve every stalled/failed shard's pairs as one
+  // degraded wave from its FROZEN general-model replicas. State on the
   // shard is left alone (no slots, no buffers, no syncs); reports come
   // back flagged `degraded`.
   for (std::size_t s = 0; s < num_shards; ++s) {
@@ -174,14 +173,7 @@ std::size_t ParallelDispatcher::flush_sharded(
                      "degraded from the frozen general models (see "
                      "SystemStats::degraded_serves)");
     SemanticEdgeSystem& shard = sharded_->shard(s);
-    std::vector<Completion>& out = collected[s];
-    for (std::size_t j = 0; j < backup[s].size(); ++j) {
-      const std::size_t g = global_pair[s][j];
-      shard.serve_degraded(backup[s][j],
-                           [&out, g](std::size_t index, TransmitReport report) {
-                             out.push_back({g, index, std::move(report)});
-                           });
-    }
+    shard.serve_degraded(std::move(backup[s]), collect_into(s));
     try {
       shard.simulator().run();
     } catch (...) {

@@ -26,9 +26,19 @@
 // synchronous-complete: when it returns, every delivery chain has run —
 // there is no single simulator left for the caller to drive.
 //
+// A stalled or failed shard's pairs are re-served as one
+// SemanticEdgeSystem::serve_degraded wave on that shard — the same
+// prepare/compute/commit path with every model frozen.
+//
+// The single-system mode is kept beside sharded K = 1 on purpose: its
+// flush only schedules the delivery chains on the caller's simulator
+// (the caller drives it, and may interleave other events), while a
+// sharded flush is synchronous-complete and runs each busy shard's wave
+// on a thread of its own.
+//
 // Determinism: both modes inherit transmit_pairs' contract — results are
 // byte-identical to num_threads = 0 for any worker count, and to serving
-// the pairs one at a time through transmit_many in order. The sharded
+// the pairs one at a time as one-pair waves in order. The sharded
 // front door extends it across deployments: for the same enqueue stream,
 // every K and every thread count produce byte-identical reports, weights,
 // and merged stats (latency too once pairs do not contend across shards;
@@ -64,11 +74,10 @@ class ParallelDispatcher {
   /// Serve everything queued as one cross-pair wave and clear the queue.
   /// Single-system mode: one transmit_pairs wave; `on_done(pair, index,
   /// report)` fires per message as its delivery chain completes (drive
-  /// system.simulator() to run the chains, exactly as with
-  /// transmit_many). Sharded mode: per-shard waves fan out concurrently,
-  /// every shard's simulator is drained before returning, and on_done
-  /// fires on THIS thread in (pair, index) order — no further driving
-  /// needed. Returns the number of pairs served; a no-op returning 0 when
+  /// system.simulator() to run the chains). Sharded mode: per-shard waves
+  /// fan out concurrently, every shard's simulator is drained before
+  /// returning, and on_done fires on THIS thread in (pair, index) order —
+  /// no further driving needed. Returns the number of pairs served; a no-op returning 0 when
   /// nothing is queued.
   std::size_t flush(SemanticEdgeSystem::PairDone on_done);
 

@@ -101,8 +101,8 @@ std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
 }
 
 semantic::SemanticCodec& SemanticEdgeSystem::serving_codec(
-    const UserModelSlot& slot, std::size_t domain) {
-  if (slot.owns_model) return *slot.model;
+    const UserModelSlot* slot, std::size_t domain) {
+  if (slot != nullptr && slot->owns_model) return *slot->model;
   return *serving_replicas_[domain][common::ThreadPool::current_worker_slot()];
 }
 
@@ -307,9 +307,15 @@ bool SemanticEdgeSystem::replicas_in_sync(const std::string& user,
 TransmitReport SemanticEdgeSystem::transmit(const std::string& sender,
                                             const std::string& receiver,
                                             const text::Sentence& message) {
+  std::vector<PairBatch> wave(1);
+  wave[0].sender = sender;
+  wave[0].receiver = receiver;
+  wave[0].messages.push_back(message);
   std::optional<TransmitReport> result;
-  transmit_async(sender, receiver, message,
-                 [&](TransmitReport r) { result = std::move(r); });
+  transmit_pairs(std::move(wave),
+                 [&](std::size_t, std::size_t, TransmitReport r) {
+                   result = std::move(r);
+                 });
   sim_.run();
   SEMCACHE_CHECK(result.has_value(), "transmit: chain did not complete");
   return std::move(*result);

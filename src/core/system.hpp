@@ -108,9 +108,10 @@ struct SystemConfig {
   /// §III-A). Ignored under oracle_selection.
   std::string selector = "nb";
 
-  /// Worker threads for the data-plane parallel sections (the channel
-  /// pipeline's per-message passes and the quantizer's per-row passes in
-  /// transmit_many). 0 — the default — compiles down to today's
+  /// Worker threads for the data-plane parallel sections (a wave's
+  /// per-pair lanes, and the per-row quantize / channel / dequantize
+  /// passes of a lane computing on the calling thread). 0 — the default —
+  /// compiles down to today's
   /// sequential code path: no pool is built and no std::thread is ever
   /// spawned. Any value N >= 1 builds a common::ThreadPool whose results
   /// are BIT-IDENTICAL to the sequential path (per-message keyed noise +
@@ -281,38 +282,11 @@ class SemanticEdgeSystem {
   /// Sample a message as `user` would utter it (idiolect applied).
   text::Sentence sample_message(const std::string& user, std::size_t domain);
 
-  /// Synchronous end-to-end transmission (runs the event loop to idle).
+  /// Synchronous end-to-end transmission of one message: a one-pair
+  /// transmit_pairs wave, then the event loop runs to idle.
   TransmitReport transmit(const std::string& sender,
                           const std::string& receiver,
                           const text::Sentence& message);
-
-  /// Event-driven variant for open-loop workloads (E7/E10): the report is
-  /// delivered to `on_done` when the message reaches the receiver device.
-  /// Implemented as the N = 1 case of transmit_many (bit-identical reports,
-  /// stats, and RNG streams).
-  void transmit_async(const std::string& sender, const std::string& receiver,
-                      text::Sentence message,
-                      std::function<void(TransmitReport)> on_done);
-
-  /// Batched end-to-end transmission: N messages from `sender` to
-  /// `receiver` run the data plane once per (selected domain, fine-tune
-  /// interval) group — one encode_batch, one quantize_batch, one
-  /// channel transmit_batch (per-message noise keyed by the global message
-  /// ordinal, so message i sees exactly the noise i sequential calls
-  /// would), and one
-  /// decode_logits_batch on the receiver replica — instead of N single
-  /// passes. `on_done(i, report)` fires as message i arrives at the
-  /// receiver device; each message keeps its own timing-plane event chain,
-  /// so latency and queueing behaviour match N transmit_async calls.
-  ///
-  /// Equivalence guarantee: reports and aggregate stats are bit-identical
-  /// to calling transmit_async once per message in order (without running
-  /// the simulator in between) — including under fault injection, because
-  /// every fault coin is keyed by the identity of the failing object
-  /// (sync-message identity, link id), never by execution order.
-  void transmit_many(const std::string& sender, const std::string& receiver,
-                     std::vector<text::Sentence> messages,
-                     std::function<void(std::size_t, TransmitReport)> on_done);
 
   /// One user pair's ready-to-serve transmissions.
   struct PairBatch {
@@ -336,8 +310,14 @@ class SemanticEdgeSystem {
   using PairDone =
       std::function<void(std::size_t pair, std::size_t index, TransmitReport)>;
 
-  /// Cross-pair parallel serving: serve several user pairs' batches as
-  /// one wave. Three deterministic phases — (1) selection / cache touches
+  /// The serving entry: serve several user pairs' batches as one wave.
+  /// Within a pair, the N messages run the data plane once per (selected
+  /// domain, fine-tune interval) group — one encode_batch, one
+  /// quantize_batch, one channel transmit_batch (message i's noise keyed
+  /// by its global ordinal), one decode_logits_batch — and each message
+  /// keeps its own timing-plane event chain; `on_done(pair, i, report)`
+  /// fires as message i of pair `pair` arrives at the receiver device.
+  /// Three deterministic phases — (1) selection / cache touches
   /// / slot establishment run on the calling thread in pair order (they
   /// share the selector, the LRU caches, and the cloud links); (2) the
   /// per-pair data planes run CONCURRENTLY on the system pool, partitioned
@@ -348,8 +328,9 @@ class SemanticEdgeSystem {
   /// ships, and delivery-chain scheduling commit on the calling thread in
   /// pair order. Results (reports, stats, cache contents, model weights,
   /// event ordering) are BYTE-IDENTICAL to num_threads = 0 for any worker
-  /// count, and identical to calling transmit_many once per pair in order
-  /// (test_serve_pairs pins both).
+  /// count, and identical to serving the pairs one at a time as one-pair
+  /// waves in order (test_serve_pairs pins both); a one-pair wave equals
+  /// its messages served one at a time (test_transmit_batch).
   ///
   /// The guarantee HOLDS UNDER ACTIVE FAULT INJECTION: sync loss /
   /// corruption / duplication coins are keyed by message identity (user,
@@ -360,16 +341,19 @@ class SemanticEdgeSystem {
   void transmit_pairs(std::vector<PairBatch> batches, PairDone on_done);
 
   /// Degraded-mode serving (the dispatcher's answer to a stalled or
-  /// failed shard): serve `batch` end-to-end through the FROZEN general-
-  /// model replicas — selection, encode, quantize, channel, decode,
-  /// delivery chains — with NO personalization and NO state mutation (no
-  /// slot establishment, no buffer adds, no fine-tune, no sync, no cache
-  /// touches). Every report is flagged `degraded` and counted in
+  /// failed shard): the transmit_pairs wave with every model FROZEN. Both
+  /// ends serve through the general-model serving replicas — selection,
+  /// encode, quantize, channel, decode, decoder-copy mismatch, delivery
+  /// chains — with NO personalization and NO serving-state mutation (no
+  /// cache touches, no slot establishment, no buffer adds, no fine-tune,
+  /// no sync). The mismatch follows the healthy rule (the decoder copy
+  /// evaluates the sender's clean features), so a degraded serve reports
+  /// exactly what a healthy serve of a never-trained user would. Every
+  /// report is flagged `degraded` and counted in
   /// SystemStats::degraded_serves. Channel noise stays keyed by message
-  /// identity via the batch's pinned noise base, so degraded
-  /// serving is itself deterministic.
-  void serve_degraded(const PairBatch& batch,
-                      std::function<void(std::size_t, TransmitReport)> on_done);
+  /// identity (the batches' pinned noise bases), so a degraded wave is
+  /// deterministic for any worker count.
+  void serve_degraded(std::vector<PairBatch> batches, PairDone on_done);
 
   /// Schedule a pair batch for simulated time t on the simulator's
   /// concurrent phase (edge::Simulator::schedule_concurrent_at, lane-keyed
@@ -427,13 +411,13 @@ class SemanticEdgeSystem {
   void build_topology();
   std::unique_ptr<semantic::SemanticCodec> clone_general(std::size_t domain);
   /// The codec that actually runs a slot's forward passes: the slot's own
-  /// model once materialized, else the per-(domain, worker-slot) serving
-  /// replica of the general model — never the shared general itself, whose
-  /// internal Workspace scratch is not safe across concurrent lanes.
-  /// Replica weights equal the frozen general's forever, so routing an
-  /// aliased slot through a replica is bit-identical to the pre-COW
-  /// design's per-slot clone.
-  semantic::SemanticCodec& serving_codec(const UserModelSlot& slot,
+  /// model once materialized, else (and for a null slot — degraded
+  /// serving) the per-(domain, worker-slot) serving replica of the general
+  /// model — never the shared general itself, whose internal Workspace
+  /// scratch is not safe across concurrent lanes. Replica weights equal
+  /// the frozen general's forever, so routing an aliased slot through a
+  /// replica is bit-identical to the pre-COW design's per-slot clone.
+  semantic::SemanticCodec& serving_codec(const UserModelSlot* slot,
                                          std::size_t domain);
   /// Copy-on-write: give `slot` a private clone of the general model
   /// before its first weight write. No-op when already materialized.
@@ -454,21 +438,15 @@ class SemanticEdgeSystem {
     std::size_t receiver_edge = 0;
   };
 
-  /// Where a serving pass routes its order-sensitive side effects. The
-  /// direct mode (transmit_many on the calling thread) writes straight to
-  /// the global sinks and ships updates immediately; the deferred mode
-  /// (cross-pair compute tasks on pool workers) collects into pair-local
-  /// sinks that the commit phase folds back in pair order.
-  struct ServeContext {
-    SystemStats* stats;                     ///< accounting sink
-    channel::PipelineStats* channel_stats;  ///< channel accounting sink
-    common::ThreadPool* row_pool;           ///< row-level fan-outs
-    std::vector<PendingShip>* outbox;       ///< null = ship updates now
-  };
+  /// One pair's wave-scoped state: resolved profiles, per-message reports
+  /// and domain groups from the prepare phase, and the pair-local sinks
+  /// (stats, channel stats, sync outbox) the compute phase collects into.
+  struct PairTask;
 
-  void run_update(const std::string& sender, std::size_t domain,
-                  EdgeServerState& sender_state, EdgeServerState& recv_state,
-                  TransmitReport& report, const ServeContext& ctx);
+  /// Fine-tune the (sender, domain) slot on its buffered transactions and
+  /// build the decoder sync: applied in place intra-edge, queued in the
+  /// task's outbox cross-edge.
+  void run_update(PairTask& task, std::size_t domain, TransmitReport& report);
   /// Apply one delivered sync message to the receiver-edge replica
   /// (version advance, replay drop, or gap-triggered full resync).
   void apply_sync_at_receiver(EdgeServerState& recv_state,
@@ -477,47 +455,34 @@ class SemanticEdgeSystem {
                               const std::vector<float>& snapshot,
                               SystemStats& stats);
   /// Queue a cross-edge gradient ship on the backbone (the commit half of
-  /// a deferred update; the direct path calls it in place). Takes the
-  /// ship by value: msg and the decoder snapshot move into the event.
-  /// With sync faults active, resolves the message's full retry schedule
-  /// here from identity-keyed coins (see the implementation comment).
+  /// a deferred update). Takes the ship by value: msg and the decoder
+  /// snapshot move into the event. With sync faults active, resolves the
+  /// message's full retry schedule here from identity-keyed coins (see the
+  /// implementation comment).
   void ship_sync(PendingShip ship);
 
-  // --- transmit_many stages (transmit_async is the N = 1 case) ---
-  /// Selection, general-cache touches, and user-slot establishment for one
-  /// message; fills the corresponding report fields and returns the
-  /// selected domain.
-  std::size_t prepare_message(EdgeServerState& sstate, EdgeServerState& rstate,
-                              const std::string& sender,
-                              const text::Sentence& message,
-                              TransmitReport& report);
-  /// Eager data plane for the subset `indices` of `messages` that selected
-  /// domain `m`: batched encode/quantize/channel/decode plus the
-  /// per-message mismatch, buffer add, and update trigger, split into
-  /// chunks at the exact messages where the sequential path fine-tunes.
-  void process_domain_group(
-      const std::string& sender, std::size_t m, EdgeServerState& sstate,
-      EdgeServerState& rstate, bool cross_edge,
-      std::uint64_t base_message_index,
-      const std::vector<text::Sentence>& messages,
-      const std::vector<std::size_t>& indices,
-      const std::vector<std::shared_ptr<TransmitReport>>& reports,
-      const ServeContext& ctx);
-
-  // --- cross-pair serving phases (transmit_pairs / transmit_pairs_at) ---
-  /// One pair's wave-scoped state: resolved profiles, per-message reports
-  /// and domain groups from the prepare phase, and the pair-local sinks
-  /// the compute phase collects into.
-  struct PairTask;
+  // --- serving-wave phases (transmit_pairs / transmit_pairs_at /
+  // serve_degraded) ---
+  /// prepare + compute + commit over a whole wave; `degraded` flags every
+  /// task as a frozen-replica serve.
+  void serve_wave(std::vector<PairBatch> batches, const PairDone& on_done,
+                  bool degraded);
   /// Phase 1 (calling thread, pair order): validation, selection, cache
-  /// touches, slot establishment, global message-index assignment.
+  /// touches, slot establishment, global message-index assignment (a
+  /// degraded task only selects and claims indices).
   void prepare_pair(PairTask& task);
   /// Phase 2 (pool worker, lane-keyed by sender): the pair's batched data
   /// plane — encode/quantize/channel/decode, mismatch, buffer adds,
   /// fine-tunes — against pair-owned state and pair-local sinks.
   void compute_pair(PairTask& task);
+  /// Phase 2 for one selected-domain group: batched
+  /// encode/quantize/channel/decode plus the per-message mismatch, buffer
+  /// add, and update trigger, split into chunks at the exact messages
+  /// where the buffer trips the fine-tune.
+  void process_domain_group(PairTask& task, std::size_t group);
   /// Phase 3 (calling thread, pair order): fold the pair-local sinks into
-  /// the global stats, ship deferred gradient syncs, schedule deliveries.
+  /// the global stats (and book degraded_serves), ship deferred gradient
+  /// syncs, schedule deliveries.
   void commit_pair(PairTask& task, const PairDone& on_done);
   /// Timing-plane event chain (uplink -> encode -> backbone -> decode ->
   /// downlink) for one message; `deliver` fires at the receiver device.

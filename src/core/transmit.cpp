@@ -1,42 +1,48 @@
-// The Fig. 1 end-to-end workflow, single-message and batched.
+// The Fig. 1 end-to-end workflow: one serving path for every entry point.
 //
-// Structure note: the DATA plane (encode/quantize/channel/decode, mismatch,
-// fine-tuning) is computed eagerly when transmit_async / transmit_many is
-// called — its results do not depend on simulated time. The TIMING plane
-// (uplink, compute queueing, backbone transfer, downlink, sync shipping) is
-// a callback chain through the discrete-event simulator, so open-loop
-// workloads (E7/E10) see real queueing contention. Weight updates therefore
-// take effect in transmit-call order, which is deterministic.
+// transmit_pairs / transmit_pairs_at are the serving entries (transmit()
+// is a one-pair wave followed by a simulator drain, and serve_degraded is
+// the same wave with frozen models). A wave serves ACROSS user pairs in
+// three phases:
 //
-// transmit_many batches the data plane: messages are grouped by selected
-// domain and each group runs encode_batch / quantize_batch /
-// transmit_batch / decode_logits_batch once per chunk, where chunk
-// boundaries fall exactly on the messages whose buffer add trips the
-// fine-tune trigger (the sequential path updates the weights there, so
-// later messages must be encoded by the post-update model). Per-message
-// channel noise is keyed by identity: message i (counted across the whole
-// system) draws from NoiseStream(channel::message_noise_key(seed, i)), so
-// batched and sequential runs draw identical noise.
+//  1. prepare (calling thread, pair order): selection, general-cache
+//     touches, slot establishment, and the claim of each pair's run of
+//     global message indices — everything the pairs share;
+//  2. compute (pool workers, lanes keyed by sender): the pair's data plane
+//     — encode → quantize → channel → decode → decoder-copy mismatch →
+//     buffer / fine-tune — against state keyed by (sending user, domain),
+//     so pairs with distinct senders own disjoint state and run
+//     concurrently (pairs sharing a sender serialize within one lane);
+//     system/channel accounting collects into pair-local sinks and
+//     cross-edge gradient ships queue in the pair's outbox;
+//  3. commit (calling thread, pair order): fold the sinks, ship the queued
+//     syncs, schedule the delivery chains.
 //
-// With SystemConfig::num_threads > 0, the per-row stages of each chunk
-// (quantize, channel pass, dequantize) additionally fan out over the
-// system's worker pool. Identity-keyed noise makes those rows
-// embarrassingly parallel, so threads=N output is bit-identical to
-// threads=0 (test_transmit_parallel pins the whole matrix); everything
-// stateful stays on the calling thread.
+// Within a pair, messages are grouped by selected domain and each group
+// runs encode_batch / quantize_batch / transmit_batch /
+// decode_logits_batch once per chunk, where chunk boundaries fall exactly
+// on the messages whose buffer add trips the fine-tune trigger (later
+// messages must be encoded by the post-update model). Message i (counted
+// across the whole system) draws its channel noise from
+// NoiseStream(channel::message_noise_key(seed, i)), so the result is
+// byte-identical for any grouping, wave shape, or worker count; the
+// per-row stages (quantize, channel pass, dequantize, report assembly)
+// additionally fan out over the system pool when a single lane computes
+// on the calling thread.
 //
-// transmit_pairs serves ACROSS user pairs: every mutable serving object —
-// user-model slot, transaction buffer, fine-tune scratch, decoder replica
-// — is keyed by (sending user, domain), so pairs with distinct senders
-// own disjoint state and their data planes run concurrently (lanes keyed
-// by sender; pairs sharing a sender serialize within one lane). What the
-// pairs DO share is routed around the fan-out: the selector, LRU caches,
-// and slot creation run in the sequential prepare phase; system/channel
-// accounting collects into pair-local sinks; gradient-sync ships and
-// delivery scheduling defer to the commit phase, folded back in pair
-// order. The ServeContext below is the switch between the direct
-// (transmit_many) and deferred (pair-task) routing; both produce
-// byte-identical results for any worker count.
+// The DATA plane is computed when the wave is served — its results do not
+// depend on simulated time. The TIMING plane (uplink, compute queueing,
+// backbone transfer, downlink, sync shipping) is a callback chain through
+// the discrete-event simulator, so open-loop workloads (E7/E10) see real
+// queueing contention.
+//
+// A DEGRADED wave (a stalled or failed shard's pairs) runs the same three
+// phases with every model frozen: prepare only selects, compute serves
+// both ends through the general-model serving replicas with no buffer add
+// and no update, and commit books SystemStats::degraded_serves. The
+// mismatch follows the healthy rule (§II-C: the decoder copy evaluates the
+// sender's clean features), so a degraded serve of a never-trained user
+// reports exactly what a healthy serve would.
 #include "core/system.hpp"
 
 #include <algorithm>
@@ -61,12 +67,32 @@ std::size_t raw_message_bytes(const text::Sentence& s) {
 }
 }  // namespace
 
-void SemanticEdgeSystem::run_update(const std::string& sender,
-                                    std::size_t domain,
-                                    EdgeServerState& sender_state,
-                                    EdgeServerState& recv_state,
-                                    TransmitReport& report,
-                                    const ServeContext& ctx) {
+struct SemanticEdgeSystem::PairTask {
+  std::size_t pair_index = 0;
+  PairBatch batch;
+  bool degraded = false;  ///< frozen-replica serve (serve_degraded)
+  const UserProfile* sprofile = nullptr;
+  const UserProfile* rprofile = nullptr;
+  EdgeServerState* sstate = nullptr;
+  EdgeServerState* rstate = nullptr;
+  bool cross_edge = false;
+  std::uint64_t base_message_index = 0;
+  std::vector<std::size_t> domains;
+  std::vector<std::shared_ptr<TransmitReport>> reports;
+  // Selected-domain grouping (first-appearance order).
+  std::vector<std::size_t> group_domains;
+  std::vector<std::vector<std::size_t>> groups;
+  // Pair-local sinks the commit phase folds back in pair order.
+  SystemStats stats_delta;
+  channel::PipelineStats channel_delta;
+  std::vector<PendingShip> outbox;
+};
+
+void SemanticEdgeSystem::run_update(PairTask& task, std::size_t domain,
+                                    TransmitReport& report) {
+  const std::string& sender = task.batch.sender;
+  EdgeServerState& sender_state = *task.sstate;
+  EdgeServerState& recv_state = *task.rstate;
   UserModelSlot* sslot = sender_state.find_slot(sender, domain);
   SEMCACHE_CHECK(sslot != nullptr && sslot->buffer != nullptr,
                  "run_update: missing sender slot");
@@ -106,35 +132,30 @@ void SemanticEdgeSystem::run_update(const std::string& sender,
 
   report.triggered_update = true;
   report.sync_bytes = msg.byte_size();
-  ctx.stats->sync_bytes += msg.byte_size();
-  ++ctx.stats->updates;
+  task.stats_delta.sync_bytes += msg.byte_size();
+  ++task.stats_delta.updates;
 
   // Ship the gradient to the receiver edge (④). The snapshot of the
   // sender's post-update decoder rides along for gap recovery — on the
   // wire it would be fetched on demand, so its bytes are only charged when
   // a resync actually happens. Intra-edge, the replica is slot-local
-  // state this call owns, so the apply runs in place (both modes);
-  // cross-edge the backbone send mutates link/simulator state, so
-  // deferred mode queues it for the wave's ordered commit phase.
+  // state this call owns, so the apply runs in place; cross-edge the
+  // backbone send mutates link/simulator state, so it queues for the
+  // wave's ordered commit phase.
   std::vector<float> snapshot =
       sslot->model->decoder().parameters().flatten_values();
   if (sender_state.index() == recv_state.index()) {
     apply_sync_at_receiver(recv_state, sender, domain, msg, snapshot,
-                           *ctx.stats);
+                           task.stats_delta);
     return;
   }
-  PendingShip ship;
+  PendingShip& ship = task.outbox.emplace_back();
   ship.msg = std::move(msg);
   ship.snapshot = std::move(snapshot);
   ship.sender = sender;
   ship.domain = domain;
   ship.sender_edge = sender_state.index();
   ship.receiver_edge = recv_state.index();
-  if (ctx.outbox != nullptr) {
-    ctx.outbox->push_back(std::move(ship));
-  } else {
-    ship_sync(std::move(ship));
-  }
 }
 
 void SemanticEdgeSystem::apply_sync_at_receiver(
@@ -171,9 +192,9 @@ void SemanticEdgeSystem::ship_sync(PendingShip ship) {
   if (!fault_plane_.config().sync_faults_active()) {
     // Fault-free fast path, bit-compatible with the pre-fault-plane wire:
     // msg and the decoder snapshot MOVE into the closure (the snapshot is
-    // a full parameter vector — both call sites hand over a ship they are
-    // done with). The apply runs at arrival time on the event loop, where
-    // accounting is the global stats in every mode.
+    // a full parameter vector — the commit phase hands over a ship it is
+    // done with). The apply runs at arrival time on the event loop and
+    // books into the global stats.
     fwd.send_concurrent(
         sim_, byte_size,
         [this, &recv_state, sender = std::move(ship.sender),
@@ -301,54 +322,19 @@ void SemanticEdgeSystem::set_sync_loss_probability(double p) {
   fault_plane_ = FaultPlane(config_.faults);
 }
 
-std::size_t SemanticEdgeSystem::prepare_message(EdgeServerState& sstate,
-                                                EdgeServerState& rstate,
-                                                const std::string& sender,
-                                                const text::Sentence& message,
-                                                TransmitReport& report) {
-  report.domain_true = message.domain;
-
-  // --- Model selection (§III-A). ---
-  const std::size_t m = config_.oracle_selection
-                            ? message.domain
-                            : selector_->select(message.surface);
-  report.domain_selected = m;
-  report.selection_correct = (m == message.domain);
-  if (!report.selection_correct) ++stats_.selection_errors;
-
-  // --- General models through the edge caches (①). ---
-  report.general_cache_hit = touch_general_cache(sstate, m);
-  touch_general_cache(rstate, m);
-
-  // --- User-specific slots (②): established copy-on-write — the fresh
-  // slot ALIASES the shared general model (bytes, not a clone; serving
-  // routes through the per-worker replicas, and the first fine-tune or
-  // sync apply materializes a private copy). The receiver edge holds the
-  // decoder replica for this (sender, domain) pair. ---
-  report.established_user_model = (sstate.find_slot(sender, m) == nullptr);
-  UserModelSlot& sslot =
-      sstate.ensure_slot(sender, m, [&] { return general_models_[m]; });
-  if (sslot.buffer == nullptr) {
-    // A trigger above the configured capacity means "never train" (the
-    // frozen-general-model baseline); size the ring to match.
-    sslot.buffer = std::make_unique<fl::DomainBuffer>(
-        config_.buffer_trigger,
-        std::max(config_.buffer_capacity, config_.buffer_trigger));
-  }
-  rstate.ensure_slot(sender, m, [&] { return general_models_[m]; });
-  return m;
-}
-
-void SemanticEdgeSystem::process_domain_group(
-    const std::string& sender, std::size_t m, EdgeServerState& sstate,
-    EdgeServerState& rstate, bool cross_edge,
-    std::uint64_t base_message_index,
-    const std::vector<text::Sentence>& messages,
-    const std::vector<std::size_t>& indices,
-    const std::vector<std::shared_ptr<TransmitReport>>& reports,
-    const ServeContext& ctx) {
-  UserModelSlot& sslot = *sstate.find_slot(sender, m);
-  UserModelSlot& rslot = *rstate.find_slot(sender, m);
+void SemanticEdgeSystem::process_domain_group(PairTask& task, std::size_t g) {
+  const std::string& sender = task.batch.sender;
+  const std::size_t m = task.group_domains[g];
+  const std::vector<std::size_t>& indices = task.groups[g];
+  const std::vector<text::Sentence>& messages = task.batch.messages;
+  // A degraded task owns no slots: both ends serve through the frozen
+  // general's serving replica (serving_codec(nullptr, m)), nothing is
+  // buffered, and no update can fire.
+  UserModelSlot* sslot =
+      task.degraded ? nullptr : task.sstate->find_slot(sender, m);
+  UserModelSlot* rslot =
+      task.degraded ? nullptr : task.rstate->find_slot(sender, m);
+  common::ThreadPool* row_pool = pool_.get();
   const std::size_t length = config_.codec.sentence_length;
   const std::size_t vocab = config_.codec.meaning_vocab;
 
@@ -360,7 +346,9 @@ void SemanticEdgeSystem::process_domain_group(
     // buffer add trips the trigger, and every later message is encoded by
     // the updated weights — so a chunk may extend at most that far.
     const std::size_t until_ready =
-        std::max<std::size_t>(1, sslot.buffer->adds_until_ready());
+        sslot == nullptr
+            ? indices.size()
+            : std::max<std::size_t>(1, sslot->buffer->adds_until_ready());
     const std::size_t chunk = std::min(indices.size() - pos, until_ready);
 
     // ---- One batched pass over the chunk. ----
@@ -374,13 +362,13 @@ void SemanticEdgeSystem::process_domain_group(
     // Valid until this encoder's next encode, which happens only after
     // this chunk (the mismatch pass reads it through roundtrip_batch).
     //
-    // Parallel sections: encode/decode stay batched on the calling thread
+    // Parallel sections: encode/decode stay batched on the lane's thread
     // (they own per-model Workspace scratch), while the per-row quantize /
     // channel / dequantize passes fan out over pool_ when one is attached
     // — each row's work touches only row-owned state plus its own keyed
     // noise stream, so the bits are identical on any worker count. All
-    // mutation (buffers, caches, stats, timing-plane scheduling) stays
-    // below, on the calling thread.
+    // mutation (buffers, pair-local stats) stays below, on the lane's
+    // thread.
     //
     // serving_codec is resolved per chunk, not hoisted: the update trigger
     // at a chunk boundary may MATERIALIZE the sender slot (copy-on-write),
@@ -389,32 +377,32 @@ void SemanticEdgeSystem::process_domain_group(
     const tensor::Tensor& features =
         serving_codec(sslot, m).encoder().encode_batch(surfaces, chunk);
     const std::vector<BitVec> payloads =
-        quantizer_->quantize_batch(features, ctx.row_pool);
+        quantizer_->quantize_batch(features, row_pool);
 
     std::vector<BitVec> received;
-    if (cross_edge) {
+    if (task.cross_edge) {
       // Message j's noise is keyed by its global ordinal, which is also its
       // slot — channels with memory (Gilbert–Elliott) key their burst
       // weather on it, so waves stay byte-identical across threads/shards.
       std::vector<std::uint64_t> keys(chunk);
       std::vector<std::uint64_t> slots(chunk);
       for (std::size_t j = 0; j < chunk; ++j) {
-        slots[j] = base_message_index + indices[pos + j];
+        slots[j] = task.base_message_index + indices[pos + j];
         keys[j] = channel::message_noise_key(config_.seed, slots[j]);
       }
       received = pipeline_->transmit_batch(payloads, keys, slots,
-                                           *ctx.channel_stats, ctx.row_pool);
+                                           task.channel_delta, row_pool);
     } else {
       received = payloads;
     }
     const tensor::Tensor rx_features =
-        quantizer_->dequantize_batch(received, ctx.row_pool);
+        quantizer_->dequantize_batch(received, row_pool);
     // Keep the receiver logits alive past the argmax: the mismatch-reuse
     // fast path below reads per-message row slices out of them.
     const tensor::Tensor& rx_logits =
         serving_codec(rslot, m).decoder().decode_logits_batch(rx_features);
     const std::vector<std::int32_t> decoded =
-        tensor::row_argmax(rx_logits, ctx.row_pool);
+        tensor::row_argmax(rx_logits, row_pool);
 
     // --- Mismatch calculation (③). With the decoder copy the sender can
     // evaluate its own clean quantized features locally; without it, the
@@ -426,20 +414,22 @@ void SemanticEdgeSystem::process_domain_group(
     // channel intact the receiver logits already ARE the decoder-copy
     // logits — no second decoder forward. Messages the channel corrupted
     // (rare at serving SNRs) fall back to a single-row decoder-copy pass.
+    // A degraded task's two ends are the same frozen replica (both slots
+    // null), trivially in sync.
     const bool replicas_synced =
-        &sslot == &rslot ||
-        sslot.send_version == rslot.recv_version.current();
+        sslot == rslot ||
+        sslot->send_version == rslot->recv_version.current();
     const bool reuse = config_.decoder_copy_enabled &&
                        config_.mismatch_reuse && replicas_synced;
     const tensor::Tensor* copy_logits = nullptr;
     if (config_.decoder_copy_enabled && !reuse) {
       const tensor::Tensor clean =
-          quantizer_->roundtrip_batch(features, ctx.row_pool);
-      // Note: sslot and rslot may alias the same decoder (intra-edge, or
-      // both copy-on-write slots routed to one serving replica); the
-      // decoded ids above are already copied out, so overwriting its
-      // logits buffer here is safe (rx_logits is not read again on this
-      // branch).
+          quantizer_->roundtrip_batch(features, row_pool);
+      // Note: sslot and rslot may alias the same decoder (intra-edge,
+      // degraded, or both copy-on-write slots routed to one serving
+      // replica); the decoded ids above are already copied out, so
+      // overwriting its logits buffer here is safe (rx_logits is not read
+      // again on this branch).
       copy_logits = &serving_codec(sslot, m).decoder().decode_logits_batch(clean);
     }
 
@@ -454,7 +444,7 @@ void SemanticEdgeSystem::process_domain_group(
     const auto assemble = [&](std::size_t j, std::size_t) {
       const std::size_t idx = indices[pos + j];
       const text::Sentence& message = messages[idx];
-      TransmitReport& report = *reports[idx];
+      TransmitReport& report = *task.reports[idx];
 
       report.decoded_meanings.assign(
           decoded.begin() + static_cast<std::ptrdiff_t>(j * length),
@@ -463,7 +453,7 @@ void SemanticEdgeSystem::process_domain_group(
           metrics::token_accuracy(message.meanings, report.decoded_meanings);
       report.exact = (report.decoded_meanings == message.meanings);
       report.payload_bytes = (payloads[j].size() + 7) / 8 + kHeaderBytes;
-      if (cross_edge) {
+      if (task.cross_edge) {
         report.airtime_bits =
             pipeline_->code().encoded_length(payloads[j].size());
       }
@@ -476,9 +466,8 @@ void SemanticEdgeSystem::process_domain_group(
               rx_logits.data() + j * length * vocab, length, vocab,
               message.meanings);
         } else if (reuse) {
-          // Channel-corrupted message: needs the decoder copy (sslot !=
-          // rslot here — a corrupted payload implies a cross-edge
-          // channel). Deferred to the calling thread.
+          // Channel-corrupted message: needs the decoder copy on the
+          // clean features. Deferred to the calling thread.
           wants_copy_fallback[j] = 1;
         } else {
           report.mismatch = nn::cross_entropy_mean(
@@ -492,14 +481,14 @@ void SemanticEdgeSystem::process_domain_group(
         report.mismatch = 1.0 - report.token_accuracy;
       }
     };
-    common::parallel_for_or_inline(ctx.row_pool, chunk, assemble);
+    common::parallel_for_or_inline(row_pool, chunk, assemble);
 
     // ---- Commit, in arrival order within the chunk (all mutation —
     // fallback decoder passes, buffers, stats — on the calling thread). --
     for (std::size_t j = 0; j < chunk; ++j) {
       const std::size_t idx = indices[pos + j];
       const text::Sentence& message = messages[idx];
-      TransmitReport& report = *reports[idx];
+      TransmitReport& report = *task.reports[idx];
 
       if (wants_copy_fallback[j]) {
         // Evaluate this one clean feature row through the decoder copy.
@@ -515,18 +504,18 @@ void SemanticEdgeSystem::process_domain_group(
         report.mismatch = nn::cross_entropy_mean(logits.data(), length, vocab,
                                                  message.meanings);
       }
-      if (!config_.decoder_copy_enabled) {
-        ctx.stats->output_return_bytes += report.output_return_bytes;
+      task.stats_delta.output_return_bytes += report.output_return_bytes;
+      task.stats_delta.feature_bytes += report.payload_bytes;
+      if (sslot != nullptr) {
+        sslot->buffer->add({message.surface, message.meanings},
+                           report.mismatch);
       }
-      sslot.buffer->add({message.surface, message.meanings}, report.mismatch);
-      ctx.stats->feature_bytes += report.payload_bytes;
     }
 
     // --- Update trigger (④): fires on the chunk's last message, exactly
     // where the sequential path fires it. ---
-    if (sslot.buffer->ready()) {
-      run_update(sender, m, sstate, rstate, *reports[indices[pos + chunk - 1]],
-                 ctx);
+    if (sslot != nullptr && sslot->buffer->ready()) {
+      run_update(task, m, *task.reports[indices[pos + chunk - 1]]);
     }
     pos += chunk;
   }
@@ -599,80 +588,7 @@ void SemanticEdgeSystem::schedule_delivery(
   net.link(s_dev, s_edge).send_concurrent(sim_, up_bytes, std::move(encode));
 }
 
-void SemanticEdgeSystem::transmit_many(
-    const std::string& sender, const std::string& receiver,
-    std::vector<text::Sentence> messages,
-    std::function<void(std::size_t, TransmitReport)> on_done) {
-  SEMCACHE_CHECK(on_done != nullptr, "transmit_many: null completion");
-  SEMCACHE_CHECK(!messages.empty(), "transmit_many: empty batch");
-  for (const text::Sentence& message : messages) {
-    SEMCACHE_CHECK(message.surface.size() == config_.codec.sentence_length,
-                   "transmit_many: message length must match codec window");
-  }
-  const UserProfile& sprofile = user(sender);
-  const UserProfile& rprofile = user(receiver);
-  EdgeServerState& sstate = edge_state(sprofile.edge_index);
-  EdgeServerState& rstate = edge_state(rprofile.edge_index);
-  const bool cross_edge = sprofile.edge_index != rprofile.edge_index;
-  const std::size_t n = messages.size();
-
-  // ---- Selection / caches / slots, strictly in arrival order (the
-  // selector and the LRU cache are stateful). ----
-  std::vector<std::shared_ptr<TransmitReport>> reports(n);
-  std::vector<std::size_t> domains(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    reports[i] = std::make_shared<TransmitReport>();
-    domains[i] = prepare_message(sstate, rstate, sender, messages[i],
-                                 *reports[i]);
-  }
-
-  // ================= data plane (eager, batched) =================
-  // Group by selected domain (first-appearance order); within a group the
-  // arrival order is preserved, and each message keeps the channel-noise
-  // key of its system-wide index.
-  const std::uint64_t base_message_index = stats_.messages;
-  const auto grouped = common::group_by_first_appearance(
-      n, [&](std::size_t i) { return domains[i]; });
-  channel::PipelineStats channel_sink;
-  const ServeContext direct{&stats_, &channel_sink, pool_.get(), nullptr};
-  for (std::size_t g = 0; g < grouped.groups.size(); ++g) {
-    process_domain_group(sender, grouped.keys[g], sstate, rstate, cross_edge,
-                         base_message_index, messages, grouped.groups[g],
-                         reports, direct);
-  }
-  pipeline_->fold_stats(channel_sink);
-  stats_.messages += n;
-
-  // ================= timing plane (one event chain per message) =========
-  for (std::size_t i = 0; i < n; ++i) {
-    schedule_delivery(sprofile, rprofile, domains[i], messages[i], reports[i],
-                      [on_done, i](TransmitReport report) {
-                        on_done(i, std::move(report));
-                      });
-  }
-}
-
-// ===================== cross-pair parallel serving ======================
-
-struct SemanticEdgeSystem::PairTask {
-  std::size_t pair_index = 0;
-  PairBatch batch;
-  const UserProfile* sprofile = nullptr;
-  const UserProfile* rprofile = nullptr;
-  EdgeServerState* sstate = nullptr;
-  EdgeServerState* rstate = nullptr;
-  bool cross_edge = false;
-  std::uint64_t base_message_index = 0;
-  std::vector<std::size_t> domains;
-  std::vector<std::shared_ptr<TransmitReport>> reports;
-  // Selected-domain grouping (first-appearance order, as transmit_many).
-  std::vector<std::size_t> group_domains;
-  std::vector<std::vector<std::size_t>> groups;
-  // Pair-local sinks the commit phase folds back in pair order.
-  SystemStats stats_delta;
-  channel::PipelineStats channel_delta;
-  std::vector<PendingShip> outbox;
-};
+// ===================== the serving wave ======================
 
 void SemanticEdgeSystem::validate_pair_batch(const PairBatch& batch) const {
   SEMCACHE_CHECK(!batch.messages.empty(), "transmit_pairs: empty pair batch");
@@ -698,15 +614,50 @@ void SemanticEdgeSystem::prepare_pair(PairTask& task) {
   task.reports.resize(n);
   task.domains.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
+    const text::Sentence& message = task.batch.messages[i];
     task.reports[i] = std::make_shared<TransmitReport>();
-    task.domains[i] = prepare_message(*task.sstate, *task.rstate,
-                                      task.batch.sender,
-                                      task.batch.messages[i],
-                                      *task.reports[i]);
+    TransmitReport& report = *task.reports[i];
+    report.domain_true = message.domain;
+    report.degraded = task.degraded;
+
+    // --- Model selection (§III-A). ---
+    const std::size_t m = config_.oracle_selection
+                              ? message.domain
+                              : selector_->select(message.surface);
+    task.domains[i] = m;
+    report.domain_selected = m;
+    report.selection_correct = (m == message.domain);
+    if (!report.selection_correct) ++stats_.selection_errors;
+    // A degraded serve runs on the frozen replicas: it touches no cache
+    // and establishes no slot.
+    if (task.degraded) continue;
+
+    // --- General models through the edge caches (①). ---
+    report.general_cache_hit = touch_general_cache(*task.sstate, m);
+    touch_general_cache(*task.rstate, m);
+
+    // --- User-specific slots (②): established copy-on-write — the fresh
+    // slot ALIASES the shared general model (bytes, not a clone; serving
+    // routes through the per-worker replicas, and the first fine-tune or
+    // sync apply materializes a private copy). The receiver edge holds the
+    // decoder replica for this (sender, domain) pair. ---
+    report.established_user_model =
+        task.sstate->find_slot(task.batch.sender, m) == nullptr;
+    UserModelSlot& sslot = task.sstate->ensure_slot(
+        task.batch.sender, m, [&] { return general_models_[m]; });
+    if (sslot.buffer == nullptr) {
+      // A trigger above the configured capacity means "never train" (the
+      // frozen-general-model baseline); size the ring to match.
+      sslot.buffer = std::make_unique<fl::DomainBuffer>(
+          config_.buffer_trigger,
+          std::max(config_.buffer_capacity, config_.buffer_trigger));
+    }
+    task.rstate->ensure_slot(task.batch.sender, m,
+                             [&] { return general_models_[m]; });
   }
   // Claim this pair's run of global message indices now, in pair order —
-  // exactly the channel-noise keys n sequential transmit_many calls
-  // would use (the counter's only other reader is the next prepare).
+  // exactly the channel-noise keys serving the pairs one at a time would
+  // use (the counter's only other reader is the next prepare).
   // A batch with a PINNED noise base (the sharded front door assigns them
   // from its deployment-wide counter in first-enqueue order) uses that
   // instead, so a shard's noise streams match the single-system reference
@@ -724,17 +675,12 @@ void SemanticEdgeSystem::prepare_pair(PairTask& task) {
 }
 
 void SemanticEdgeSystem::compute_pair(PairTask& task) {
-  // Row-level fan-outs still name the system pool: on a wave worker they
-  // degrade to inline loops (nested-engagement rule), while a
-  // single-lane wave computing on the calling thread keeps the row
-  // parallelism of transmit_many. Bits are identical either way.
-  const ServeContext deferred{&task.stats_delta, &task.channel_delta,
-                              pool_.get(), &task.outbox};
+  // Row-level fan-outs name the system pool: on a wave worker they
+  // degrade to inline loops (nested-engagement rule), while a single-lane
+  // wave computing on the calling thread keeps its row parallelism. Bits
+  // are identical either way.
   for (std::size_t g = 0; g < task.groups.size(); ++g) {
-    process_domain_group(task.batch.sender, task.group_domains[g],
-                         *task.sstate, *task.rstate, task.cross_edge,
-                         task.base_message_index, task.batch.messages,
-                         task.groups[g], task.reports, deferred);
+    process_domain_group(task, g);
   }
 }
 
@@ -754,6 +700,7 @@ void SemanticEdgeSystem::commit_pair(PairTask& task, const PairDone& on_done) {
                  "commit_pair: pair delta booked a counter owned elsewhere");
   stats_ += delta;
   pipeline_->fold_stats(task.channel_delta);
+  if (task.degraded) stats_.degraded_serves += task.batch.messages.size();
   // Ship deferred gradient syncs in trigger order, exactly where the
   // sequential path would have sent them: after this pair's data plane,
   // before its delivery chains.
@@ -770,15 +717,15 @@ void SemanticEdgeSystem::commit_pair(PairTask& task, const PairDone& on_done) {
   }
 }
 
-void SemanticEdgeSystem::transmit_pairs(std::vector<PairBatch> batches,
-                                        PairDone on_done) {
+void SemanticEdgeSystem::serve_wave(std::vector<PairBatch> batches,
+                                    const PairDone& on_done, bool degraded) {
   SEMCACHE_CHECK(on_done != nullptr, "transmit_pairs: null completion");
   SEMCACHE_CHECK(!batches.empty(), "transmit_pairs: no pairs");
   // Validate the WHOLE wave before serving anything: prepare claims
   // global message indices and mutates caches/slots, so a mid-wave
   // rejection would leave earlier pairs prepared but later ones dropped,
   // with every later channel-noise key shifted. Rejecting up front
-  // keeps a failed call side-effect-free, like a failed transmit_many.
+  // keeps a failed call side-effect-free.
   // Fault injection needs no special casing here: every fault coin is
   // keyed by message identity (FaultPlane), so waves stay parallel — and
   // byte-identical — under active injection.
@@ -789,6 +736,7 @@ void SemanticEdgeSystem::transmit_pairs(std::vector<PairBatch> batches,
   for (std::size_t p = 0; p < batches.size(); ++p) {
     tasks[p].pair_index = p;
     tasks[p].batch = std::move(batches[p]);
+    tasks[p].degraded = degraded;
     prepare_pair(tasks[p]);
   }
 
@@ -806,6 +754,16 @@ void SemanticEdgeSystem::transmit_pairs(std::vector<PairBatch> batches,
 
   // Phase 3: sequential commits in pair order.
   for (PairTask& task : tasks) commit_pair(task, on_done);
+}
+
+void SemanticEdgeSystem::transmit_pairs(std::vector<PairBatch> batches,
+                                        PairDone on_done) {
+  serve_wave(std::move(batches), on_done, /*degraded=*/false);
+}
+
+void SemanticEdgeSystem::serve_degraded(std::vector<PairBatch> batches,
+                                        PairDone on_done) {
+  serve_wave(std::move(batches), on_done, /*degraded=*/true);
 }
 
 void SemanticEdgeSystem::transmit_pairs_at(edge::SimTime t, PairBatch batch,
@@ -826,98 +784,6 @@ void SemanticEdgeSystem::transmit_pairs_at(edge::SimTime t, PairBatch batch,
       [this, task, on_done = std::move(on_done)] {
         commit_pair(*task, on_done);
       });
-}
-
-void SemanticEdgeSystem::serve_degraded(
-    const PairBatch& batch,
-    std::function<void(std::size_t, TransmitReport)> on_done) {
-  SEMCACHE_CHECK(on_done != nullptr, "serve_degraded: null completion");
-  validate_pair_batch(batch);
-  const UserProfile& sprofile = user(batch.sender);
-  const UserProfile& rprofile = user(batch.receiver);
-  const bool cross_edge = sprofile.edge_index != rprofile.edge_index;
-  const std::uint64_t base = batch.noise_base == PairBatch::kAutoNoiseBase
-                                 ? stats_.messages
-                                 : batch.noise_base;
-  const std::size_t length = config_.codec.sentence_length;
-  const std::size_t vocab = config_.codec.meaning_vocab;
-
-  // Availability mode: every message runs the full Fig. 1 data plane on a
-  // FROZEN general-model replica — no slot creation, no cache touches, no
-  // transaction buffering, no fine-tune, no sync. Worker slot 0 is safe:
-  // degraded serving runs on the dispatcher's calling thread, never
-  // inside a wave fan-out. The channel keeps the identity-keyed noise
-  // stream, so a degraded wave is itself bit-reproducible.
-  for (std::size_t i = 0; i < batch.messages.size(); ++i) {
-    const text::Sentence& message = batch.messages[i];
-    auto report = std::make_shared<TransmitReport>();
-    report->degraded = true;
-    report->domain_true = message.domain;
-    const std::size_t m = config_.oracle_selection
-                              ? message.domain
-                              : selector_->select(message.surface);
-    report->domain_selected = m;
-    report->selection_correct = (m == message.domain);
-    if (!report->selection_correct) ++stats_.selection_errors;
-
-    semantic::SemanticCodec& codec = *serving_replicas_[m][0];
-    const tensor::Tensor& features =
-        codec.encoder().encode_batch(message.surface, 1);
-    const std::vector<BitVec> payloads =
-        quantizer_->quantize_batch(features, nullptr);
-    std::vector<BitVec> received;
-    if (cross_edge) {
-      const std::uint64_t slot[] = {base + i};
-      const std::uint64_t key[] = {
-          channel::message_noise_key(config_.seed, base + i)};
-      channel::PipelineStats sink;
-      received = pipeline_->transmit_batch(payloads, key, slot, sink, nullptr);
-      pipeline_->fold_stats(sink);
-    } else {
-      received = payloads;
-    }
-    const tensor::Tensor rx_features =
-        quantizer_->dequantize_batch(received, nullptr);
-    const tensor::Tensor& rx_logits =
-        codec.decoder().decode_logits_batch(rx_features);
-    report->decoded_meanings = tensor::row_argmax(rx_logits, nullptr);
-    report->token_accuracy =
-        metrics::token_accuracy(message.meanings, report->decoded_meanings);
-    report->exact = (report->decoded_meanings == message.meanings);
-    report->payload_bytes = (payloads[0].size() + 7) / 8 + kHeaderBytes;
-    if (cross_edge) {
-      report->airtime_bits = pipeline_->code().encoded_length(payloads[0].size());
-    }
-    if (config_.decoder_copy_enabled) {
-      // Encoder and decoder are the SAME frozen general here, trivially
-      // in sync: the receiver logits ARE the decoder-copy logits.
-      report->mismatch = nn::cross_entropy_mean(rx_logits.data(), length,
-                                                vocab, message.meanings);
-    } else {
-      report->output_return_bytes =
-          kHeaderBytes + kTokenBytes * report->decoded_meanings.size();
-      report->mismatch = 1.0 - report->token_accuracy;
-      stats_.output_return_bytes += report->output_return_bytes;
-    }
-    ++stats_.degraded_serves;
-    stats_.feature_bytes += report->payload_bytes;
-    schedule_delivery(sprofile, rprofile, m, message, report,
-                      [on_done, i](TransmitReport r) { on_done(i, std::move(r)); });
-  }
-  stats_.messages += batch.messages.size();
-}
-
-void SemanticEdgeSystem::transmit_async(
-    const std::string& sender, const std::string& receiver,
-    text::Sentence message, std::function<void(TransmitReport)> on_done) {
-  SEMCACHE_CHECK(on_done != nullptr, "transmit_async: null completion");
-  std::vector<text::Sentence> batch;
-  batch.push_back(std::move(message));
-  transmit_many(sender, receiver, std::move(batch),
-                [on_done = std::move(on_done)](std::size_t,
-                                               TransmitReport report) {
-                  on_done(std::move(report));
-                });
 }
 
 }  // namespace semcache::core

@@ -114,35 +114,42 @@ SimTime Link::next_up(SimTime t) const {
   }
 }
 
-SimTime Link::send(Simulator& sim, std::size_t bytes,
-                   Simulator::Handler on_delivered) {
+Link::Admission Link::admit(SimTime at, std::size_t bytes,
+                            OutagePolicy policy) {
   const double serialization = static_cast<double>(bytes) * 8.0 / bandwidth_;
-  SimTime start = std::max(sim.now(), busy_until_);
+  SimTime start = std::max(at, busy_until_);
+  Admission admission;
   if (is_down(start)) {
-    if (outage_policy_ == OutagePolicy::kDrop) {
+    if (policy == OutagePolicy::kDrop) {
       ++outage_drops_;
-      if (drop_sink_ != nullptr) ++*drop_sink_;
-      return kDropped;
+      admission.dropped = true;
+      return admission;
     }
     start = next_up(start);
     ++outage_queued_;
-    if (queue_sink_ != nullptr) ++*queue_sink_;
+    admission.queued = true;
   }
   busy_until_ = start + serialization;
-  const SimTime delivered = start + serialization + propagation_;
+  admission.delivered = start + serialization + propagation_;
   bytes_carried_ += bytes;
   ++transfers_;
-  sim.schedule_at(delivered, std::move(on_delivered));
-  return delivered;
+  return admission;
+}
+
+SimTime Link::send(Simulator& sim, std::size_t bytes,
+                   Simulator::Handler on_delivered) {
+  const Admission admission = admit(sim.now(), bytes, outage_policy_);
+  if (admission.dropped) {
+    if (drop_sink_ != nullptr) ++*drop_sink_;
+    return kDropped;
+  }
+  if (admission.queued && queue_sink_ != nullptr) ++*queue_sink_;
+  sim.schedule_at(admission.delivered, std::move(on_delivered));
+  return admission.delivered;
 }
 
 void Link::send_concurrent(Simulator& sim, std::size_t bytes,
                            Simulator::Handler on_delivered) {
-  struct Outcome {
-    SimTime delivered = 0.0;
-    bool dropped = false;
-    bool queued = false;
-  };
   // `at` and the outage policy are captured at the schedule site, where
   // send() would have read them: the compute phase must not touch the
   // Simulator, and a policy toggled between this call and the wave must
@@ -156,41 +163,25 @@ void Link::send_concurrent(Simulator& sim, std::size_t bytes,
   // wave breaks the tie exactly as under send(). A kDrop refusal simply
   // leaves the reservation unused (seq gaps are harmless).
   const std::uint64_t delivery_seq = sim.reserve_seq();
-  auto outcome = std::make_shared<Outcome>();
+  auto admission = std::make_shared<Admission>();
   sim.schedule_concurrent_at(
       at, lane_key_, /*prepare=*/nullptr,
-      // Compute: the full serialization/outage math, writing only this
-      // link's own state. Same-link sends share the lane and therefore
-      // run in scheduling order — the same FIFO send() enforces — while
-      // different links' computes fan out in parallel.
-      [this, at, bytes, policy, outcome] {
-        const double serialization =
-            static_cast<double>(bytes) * 8.0 / bandwidth_;
-        SimTime start = std::max(at, busy_until_);
-        if (is_down(start)) {
-          if (policy == OutagePolicy::kDrop) {
-            ++outage_drops_;
-            outcome->dropped = true;
-            return;
-          }
-          start = next_up(start);
-          ++outage_queued_;
-          outcome->queued = true;
-        }
-        busy_until_ = start + serialization;
-        outcome->delivered = start + serialization + propagation_;
-        bytes_carried_ += bytes;
-        ++transfers_;
+      // Compute: admission writes only this link's own state. Same-link
+      // sends share the lane and therefore run in scheduling order — the
+      // same FIFO send() enforces — while different links' computes fan
+      // out in parallel.
+      [this, at, bytes, policy, admission] {
+        *admission = admit(at, bytes, policy);
       },
       // Commit: shared sinks and simulator scheduling, ordered.
-      [this, &sim, outcome, delivery_seq,
+      [this, &sim, admission, delivery_seq,
        fn = std::move(on_delivered)]() mutable {
-        if (outcome->dropped) {
+        if (admission->dropped) {
           if (drop_sink_ != nullptr) ++*drop_sink_;
           return;
         }
-        if (outcome->queued && queue_sink_ != nullptr) ++*queue_sink_;
-        sim.schedule_at_reserved(outcome->delivered, delivery_seq,
+        if (admission->queued && queue_sink_ != nullptr) ++*queue_sink_;
+        sim.schedule_at_reserved(admission->delivered, delivery_seq,
                                  std::move(fn));
       });
 }

@@ -105,6 +105,18 @@ class Link {
   std::size_t outage_queued() const { return outage_queued_; }
 
  private:
+  /// One transfer's admission: its delivery time, or its outage fate.
+  struct Admission {
+    SimTime delivered = 0.0;
+    bool dropped = false;  ///< refused under kDrop
+    bool queued = false;   ///< start shifted to the end of an outage
+  };
+  /// The serialization/outage math shared by send() and send_concurrent():
+  /// FIFO start at max(at, busy_until_), the outage drop/queue decision
+  /// under `policy`, and this link's own counters. Touches no sink and no
+  /// simulator.
+  Admission admit(SimTime at, std::size_t bytes, OutagePolicy policy);
+
   /// Covering outage window for t, or outages_.end(). outages_ is sorted
   /// and disjoint, so at most one window can cover any instant.
   std::vector<std::pair<SimTime, SimTime>>::const_iterator window_covering(

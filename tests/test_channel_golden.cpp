@@ -166,8 +166,8 @@ TEST_F(ChannelGoldenRng, ViterbiCorrectsIsolatedBitErrors) {
 // --- Identity-keyed channel noise --------------------------------------
 
 // The serving path keys message i's channel noise (i = the system-wide
-// message counter, whether the message rides transmit_async, a
-// transmit_many batch, a wave or a degraded serve) as
+// message counter, whether the message rides transmit(), a healthy wave or
+// a degraded one) as
 // NoiseStream(message_noise_key(seed, i)). These goldens pin (a) the key
 // derivation, (b) the first raw stream words, and (c) the first normals of
 // a stream, all computed by in-repo integer and IEEE arithmetic (no

@@ -17,7 +17,9 @@
 //
 //  3. GRACEFUL DEGRADATION — a stalled shard's pairs are served from the
 //     frozen general-model replicas, flagged `degraded`, counted in
-//     SystemStats::degraded_serves — never a hang, never a throw.
+//     SystemStats::degraded_serves — never a hang, never a throw — and a
+//     degraded serve reports exactly what the healthy wave reports for a
+//     user whose models are still the frozen generals.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -491,6 +493,74 @@ TEST(Degradation, StalledShardsServeDegradedNeverThrow) {
                               "degraded pair " + std::to_string(p) +
                                   " message " + std::to_string(i));
     }
+  }
+}
+
+/// serve_degraded is the healthy wave with frozen models, not a copy of
+/// it: for a user whose slots still alias the frozen generals (trigger out
+/// of reach, so no fine-tune ever fires) every data-plane field and the
+/// simulated latency match a healthy transmit_pairs serve exactly.
+/// Uncoded at 0 dB corrupts nearly every payload, so both sides must take
+/// the §II-C decoder-copy mismatch on the sender's clean features rather
+/// than reading the receiver's corrupted logits. num_threads = 2 runs the
+/// degraded wave on the pool (the TSan leg covers it).
+TEST(Degradation, DegradedMatchesHealthyFrozenServe) {
+  unsetenv("SEMCACHE_THREADS");
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SystemConfig config = test::tiny_system_config(1515);
+    config.pretrain.steps = 150;  // lightly trained: equality, not accuracy
+    config.buffer_trigger = 1u << 30;
+    config.oracle_selection = true;
+    config.channel.code = "uncoded";
+    config.channel.snr_db = 0.0;
+    config.num_threads = threads;
+    auto healthy = SemanticEdgeSystem::build(config);
+    auto degraded = SemanticEdgeSystem::build(config);
+    for (auto* system : {healthy.get(), degraded.get()}) {
+      system->register_user("a", 0, nullptr);
+      system->register_user("b", 1, nullptr);
+    }
+    std::vector<text::Sentence> messages;
+    for (std::size_t i = 0; i < 8; ++i) {
+      messages.push_back(healthy->sample_message("a", i % 2));
+    }
+
+    const auto serve = [&messages](SemanticEdgeSystem& system, bool frozen) {
+      std::vector<TransmitReport> reports(messages.size());
+      const auto collect = [&reports](std::size_t, std::size_t i,
+                                      TransmitReport report) {
+        reports[i] = std::move(report);
+      };
+      auto wave = test::one_pair_wave("a", "b", messages);
+      if (frozen) {
+        system.serve_degraded(std::move(wave), collect);
+      } else {
+        system.transmit_pairs(std::move(wave), collect);
+      }
+      system.simulator().run();
+      return reports;
+    };
+    const auto want = serve(*healthy, /*frozen=*/false);
+    const auto got = serve(*degraded, /*frozen=*/true);
+
+    bool saw_corruption = false;
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      SCOPED_TRACE("message " + std::to_string(i));
+      EXPECT_FALSE(want[i].degraded);
+      EXPECT_TRUE(got[i].degraded);
+      EXPECT_EQ(want[i].decoded_meanings, got[i].decoded_meanings);
+      EXPECT_EQ(want[i].token_accuracy, got[i].token_accuracy);
+      EXPECT_EQ(want[i].mismatch, got[i].mismatch);
+      EXPECT_EQ(want[i].payload_bytes, got[i].payload_bytes);
+      EXPECT_EQ(want[i].airtime_bits, got[i].airtime_bits);
+      EXPECT_EQ(want[i].latency_s, got[i].latency_s);
+      saw_corruption = saw_corruption || !got[i].exact;
+    }
+    EXPECT_TRUE(saw_corruption);  // the channel really corrupted payloads
+    EXPECT_EQ(degraded->stats().degraded_serves, messages.size());
+    EXPECT_EQ(degraded->stats().feature_bytes, healthy->stats().feature_bytes);
+    EXPECT_EQ(degraded->memory_footprint().slots, 0u);  // nothing established
   }
 }
 

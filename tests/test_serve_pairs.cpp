@@ -8,9 +8,9 @@
 //     latency compared as exact doubles), the aggregate SystemStats, the
 //     channel-pipeline stats, sender-side buffer/slot state, and the
 //     decoder replica weights must be BYTE-IDENTICAL across all counts.
-//  2. SEQUENTIAL EQUIVALENCE — a wave over N pairs equals calling
-//     transmit_many once per pair in order on a twin system (reports,
-//     stats, weights), so cross-pair serving is a wall-clock lever, not a
+//  2. SEQUENTIAL EQUIVALENCE — a wave over N pairs equals serving one
+//     one-pair wave per pair in order on a twin system (reports, stats,
+//     weights), so cross-pair serving is a wall-clock lever, not a
 //     semantic change.
 //
 // The case matrix follows the ISSUE: several pairs on one edge,
@@ -20,11 +20,8 @@
 // The suite runs under the TSan CI job like every tier-1 suite.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <bit>
 #include <cstdlib>
 #include <memory>
-#include <type_traits>
 #include <string>
 #include <vector>
 
@@ -426,9 +423,9 @@ TEST_F(ServePairsTest, DispatcherRejectsBadBatchesWithoutLosingQueue) {
 
 // --- standalone cases (fresh systems; lockstep with a sequential twin) ---
 
-/// A wave must equal serving its pairs one at a time through
-/// transmit_many, in pair order — on every thread count.
-TEST(ServePairsEquivalence, WaveEqualsSequentialTransmitMany) {
+/// A wave must equal serving its pairs one at a time as one-pair waves,
+/// in pair order — on every thread count.
+TEST(ServePairsEquivalence, WaveEqualsSequentialPairWaves) {
   unsetenv("SEMCACHE_THREADS");
   struct Spec {
     const char* sender;
@@ -438,7 +435,7 @@ TEST(ServePairsEquivalence, WaveEqualsSequentialTransmitMany) {
   const std::vector<Spec> specs = {{"a", "b", {0, 0, 0, 0, 0, 0}},
                                    {"c", "a", {1, 1, 1, 1}},
                                    {"d", "b", {0, 1, 0}}};
-  // Reference: a threads=0 twin served pair by pair with transmit_many.
+  // Reference: a threads=0 twin served pair by pair.
   auto reference = SemanticEdgeSystem::build(pairs_config(515, 0));
   std::vector<std::unique_ptr<SemanticEdgeSystem>> waved;
   for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
@@ -473,17 +470,17 @@ TEST(ServePairsEquivalence, WaveEqualsSequentialTransmitMany) {
     }
   }
 
-  // Reference run: pair-by-pair transmit_many, one event-loop drain at
+  // Reference run: pair-by-pair one-pair waves, one event-loop drain at
   // the end (matching the wave, which also schedules everything first).
   std::vector<std::vector<TransmitReport>> ref_reports(specs.size());
   for (std::size_t p = 0; p < specs.size(); ++p) {
     ref_reports[p].resize(ref_batches[p].size());
-    reference->transmit_many(specs[p].sender, specs[p].receiver,
-                             std::move(ref_batches[p]),
-                             [&ref_reports, p](std::size_t i,
-                                               TransmitReport report) {
-                               ref_reports[p][i] = std::move(report);
-                             });
+    reference->transmit_pairs(
+        test::one_pair_wave(specs[p].sender, specs[p].receiver,
+                            std::move(ref_batches[p])),
+        [&ref_reports, p](std::size_t, std::size_t i, TransmitReport report) {
+          ref_reports[p][i] = std::move(report);
+        });
   }
   reference->simulator().run();
 
@@ -511,24 +508,11 @@ TEST(ServePairsEquivalence, WaveEqualsSequentialTransmitMany) {
   }
 }
 
-/// SystemStats viewed as its counters, so per-pair deltas need no field
-/// list (a counter added later is covered without touching this test).
-using StatWords = std::array<std::uint64_t, sizeof(SystemStats) / 8>;
-static_assert(std::is_trivially_copyable_v<SystemStats> &&
-              sizeof(SystemStats) % 8 == 0);
-
-SystemStats stats_minus(const SystemStats& after, const SystemStats& before) {
-  StatWords a = std::bit_cast<StatWords>(after);
-  const StatWords b = std::bit_cast<StatWords>(before);
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] -= b[i];
-  return std::bit_cast<SystemStats>(a);
-}
-
-/// A wave's stats() is the sum of its pairs' deltas: the commit phase
-/// folds each pair-local SystemStats with operator+=, so no counter can
-/// be left behind. Each pair's delta is measured on a sequential twin
-/// (transmit_many books straight into the global stats, no fold), and the
-/// comparison is SystemStats' defaulted ==, over every counter.
+/// A wave's stats() is the sum of what its pairs booked: the commit phase
+/// folds each pair-local SystemStats with operator+=, so no counter can be
+/// left behind. The reference totals are recomputed from the wave's own
+/// reports — independent of the fold under test — and the comparison is
+/// SystemStats' defaulted ==, over every counter.
 TEST(ServePairsEquivalence, WaveStatsEqualSumOfPairDeltas) {
   unsetenv("SEMCACHE_THREADS");
   struct Spec {
@@ -541,41 +525,40 @@ TEST(ServePairsEquivalence, WaveStatsEqualSumOfPairDeltas) {
   const std::vector<Spec> specs = {{"a", "b", {0, 0, 0, 0, 0, 0}},
                                    {"c", "a", {1, 1, 1, 1, 1}},
                                    {"d", "b", {0, 1, 0}}};
-  auto twin = SemanticEdgeSystem::build(pairs_config(616, 0));
   auto waved = SemanticEdgeSystem::build(pairs_config(616, 2));
-  for (auto* system : {twin.get(), waved.get()}) {
-    system->register_user("a", 0, nullptr);
-    system->register_user("b", 1, nullptr);
-    system->register_user("c", 0, nullptr);
-    system->register_user("d", 1, nullptr);
-  }
-  ASSERT_EQ(twin->stats(), waved->stats());
+  waved->register_user("a", 0, nullptr);
+  waved->register_user("b", 1, nullptr);
+  waved->register_user("c", 0, nullptr);
+  waved->register_user("d", 1, nullptr);
   const SystemStats baseline = waved->stats();
 
   std::vector<SemanticEdgeSystem::PairBatch> wave(specs.size());
-  std::vector<std::vector<text::Sentence>> sequential(specs.size());
   for (std::size_t p = 0; p < specs.size(); ++p) {
     wave[p].sender = specs[p].sender;
     wave[p].receiver = specs[p].receiver;
     for (const std::size_t d : specs[p].domains) {
-      sequential[p].push_back(twin->sample_message(specs[p].sender, d));
       wave[p].messages.push_back(waved->sample_message(specs[p].sender, d));
     }
   }
+  const WaveResult result = serve_wave(*waved, std::move(wave));
 
   SystemStats sum = baseline;
   for (std::size_t p = 0; p < specs.size(); ++p) {
-    const SystemStats before = twin->stats();
-    twin->transmit_many(specs[p].sender, specs[p].receiver,
-                        std::move(sequential[p]),
-                        [](std::size_t, TransmitReport) {});
-    twin->simulator().run();
-    const SystemStats delta = stats_minus(twin->stats(), before);
-    EXPECT_EQ(delta.messages, specs[p].domains.size()) << "pair " << p;
-    sum += delta;
+    EXPECT_EQ(result.reports[p].size(), specs[p].domains.size())
+        << "pair " << p;
+    for (const TransmitReport& report : result.reports[p]) {
+      ++sum.messages;
+      sum.feature_bytes += report.payload_bytes;
+      sum.sync_bytes += report.sync_bytes;
+      sum.updates += report.triggered_update ? 1 : 0;
+      sum.selection_errors += report.selection_correct ? 0 : 1;
+      sum.output_return_bytes += report.output_return_bytes;
+    }
   }
+  // Device-link bytes are booked by the delivery chains, outside the fold.
+  sum.uplink_bytes = waved->stats().uplink_bytes;
+  sum.downlink_bytes = waved->stats().downlink_bytes;
   EXPECT_GT(sum.updates, 0u);  // the fine-tune path folded too
-  serve_wave(*waved, std::move(wave));
   EXPECT_EQ(waved->stats(), sum);
   expect_stats_equal(waved->stats(), sum);  // per-field diagnostics
 }
@@ -659,7 +642,8 @@ TEST(ServePairsEviction, CacheContentionStaysDeterministic) {
 /// Failure injection active: a transmit_pairs wave STAYS cross-pair
 /// parallel (no sequential fallback — the fault coins are keyed by
 /// message identity, not a global RNG ordinal) and still matches a twin
-/// served through transmit_many, report-for-report and stat-for-stat.
+/// served the same messages one at a time, report-for-report and
+/// stat-for-stat.
 TEST(ServePairsFaults, WavesStayParallelUnderSyncLoss) {
   unsetenv("SEMCACHE_THREADS");
   auto waved = SemanticEdgeSystem::build(pairs_config(99, 4));
@@ -679,11 +663,13 @@ TEST(ServePairsFaults, WavesStayParallelUnderSyncLoss) {
   }
   const WaveResult result = serve_wave(*waved, std::move(batch));
   std::vector<TransmitReport> ref_reports(6);
-  reference->transmit_many("a", "b", std::move(ref_messages),
-                           [&ref_reports](std::size_t i,
-                                          TransmitReport report) {
-                             ref_reports[i] = std::move(report);
-                           });
+  for (std::size_t i = 0; i < ref_messages.size(); ++i) {
+    reference->transmit_pairs(
+        test::one_pair_wave("a", "b", {ref_messages[i]}),
+        [&ref_reports, i](std::size_t, std::size_t, TransmitReport report) {
+          ref_reports[i] = std::move(report);
+        });
+  }
   reference->simulator().run();
   for (std::size_t i = 0; i < 6; ++i) {
     expect_reports_equal(ref_reports[i], result.reports[0][i],

@@ -1,9 +1,10 @@
-// Batch-vs-sequential equivalence for the transmit_many data plane.
+// Batch-vs-sequential equivalence for the serving wave's data plane.
 //
 // Two systems are built from the same seed (bit-identical weights, worlds,
-// and RNG streams) and driven in lockstep: the SEQUENTIAL system gets N
-// transmit_async calls, the BATCHED system one transmit_many of the same N
-// messages, then both run their simulators to idle. Every per-message
+// and RNG streams) and driven in lockstep: the SEQUENTIAL system serves N
+// single-message one-pair waves (transmit() where the simulator drains
+// after each message anyway), the BATCHED system one one-pair wave of the
+// same N messages, then both run their simulators to idle. Every per-message
 // TransmitReport field (including mismatch losses and event-driven
 // latencies, compared as exact doubles) and the aggregate SystemStats must
 // match — the batched path is a pure kernel-amortization of the sequential
@@ -110,19 +111,22 @@ class TransmitBatchTest : public ::testing::Test {
     std::vector<TransmitReport> seq_reports(n), bat_reports(n);
     std::vector<int> seq_seen(n, 0), bat_seen(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
-      seq_->transmit_async(sender, receiver, twin[0][i],
-                           [&seq_reports, &seq_seen, i](TransmitReport r) {
-                             seq_reports[i] = std::move(r);
-                             ++seq_seen[i];
-                           });
+      seq_->transmit_pairs(
+          test::one_pair_wave(sender, receiver, {twin[0][i]}),
+          [&seq_reports, &seq_seen, i](std::size_t, std::size_t,
+                                       TransmitReport r) {
+            seq_reports[i] = std::move(r);
+            ++seq_seen[i];
+          });
     }
     seq_->simulator().run();
-    bat_->transmit_many(sender, receiver, std::move(twin[1]),
-                        [&bat_reports, &bat_seen](std::size_t i,
-                                                  TransmitReport r) {
-                          bat_reports[i] = std::move(r);
-                          ++bat_seen[i];
-                        });
+    bat_->transmit_pairs(
+        test::one_pair_wave(sender, receiver, std::move(twin[1])),
+        [&bat_reports, &bat_seen](std::size_t, std::size_t i,
+                                  TransmitReport r) {
+          bat_reports[i] = std::move(r);
+          ++bat_seen[i];
+        });
     bat_->simulator().run();
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -141,23 +145,21 @@ class TransmitBatchTest : public ::testing::Test {
 SemanticEdgeSystem* TransmitBatchTest::seq_ = nullptr;
 SemanticEdgeSystem* TransmitBatchTest::bat_ = nullptr;
 
-TEST_F(TransmitBatchTest, SingleMessageBitIdenticalToTransmitAsync) {
+TEST_F(TransmitBatchTest, SingleMessageWaveBitIdenticalToTransmit) {
   // N = 1 across enough messages that one trips the fine-tune trigger:
-  // transmit_many of one message must be indistinguishable from
-  // transmit_async — reports, stats, and (via the shared system state
+  // a one-pair wave of one message must be indistinguishable from
+  // transmit() — reports, stats, and (via the shared system state
   // carried into the later tests) the RNG discipline.
   bool saw_update = false;
   for (int k = 0; k < 5; ++k) {
     auto twin = sample_twin_messages("a", {0});
-    TransmitReport seq_report, bat_report;
-    seq_->transmit_async("a", "b", twin[0][0],
-                         [&](TransmitReport r) { seq_report = std::move(r); });
-    seq_->simulator().run();
-    bat_->transmit_many("a", "b", {twin[1][0]},
-                        [&](std::size_t i, TransmitReport r) {
-                          EXPECT_EQ(i, 0u);
-                          bat_report = std::move(r);
-                        });
+    TransmitReport bat_report;
+    const TransmitReport seq_report = seq_->transmit("a", "b", twin[0][0]);
+    bat_->transmit_pairs(test::one_pair_wave("a", "b", {twin[1][0]}),
+                         [&](std::size_t, std::size_t i, TransmitReport r) {
+                           EXPECT_EQ(i, 0u);
+                           bat_report = std::move(r);
+                         });
     bat_->simulator().run();
     expect_reports_equal(seq_report, bat_report,
                          "single message " + std::to_string(k));
@@ -198,14 +200,12 @@ TEST_F(TransmitBatchTest, IntraEdgeBatchSkipsChannelAndMatches) {
   run_and_compare("a", "c", std::move(twin));
   // Spot-check the no-channel invariant on a fresh pair of reports.
   auto check = sample_twin_messages("a", {0});
-  TransmitReport seq_report, bat_report;
-  seq_->transmit_async("a", "c", check[0][0],
-                       [&](TransmitReport r) { seq_report = std::move(r); });
-  seq_->simulator().run();
-  bat_->transmit_many("a", "c", {check[1][0]},
-                      [&](std::size_t, TransmitReport r) {
-                        bat_report = std::move(r);
-                      });
+  TransmitReport bat_report;
+  const TransmitReport seq_report = seq_->transmit("a", "c", check[0][0]);
+  bat_->transmit_pairs(test::one_pair_wave("a", "c", {check[1][0]}),
+                       [&](std::size_t, std::size_t, TransmitReport r) {
+                         bat_report = std::move(r);
+                       });
   bat_->simulator().run();
   EXPECT_EQ(seq_report.airtime_bits, 0u);
   EXPECT_EQ(bat_report.airtime_bits, 0u);
@@ -275,17 +275,22 @@ TEST(MismatchReuseNoisy, CorruptedPayloadFallbackBitIdenticalAcrossPaths) {
   }
   std::vector<TransmitReport> r_seq(n), r_bat(n), r_full(n);
   for (std::size_t i = 0; i < n; ++i) {
-    seq->transmit_async("a", "b", msgs_seq[i],
-                        [&r_seq, i](TransmitReport r) { r_seq[i] = std::move(r); });
-    full->transmit_async("a", "b", msgs_full[i],
-                         [&r_full, i](TransmitReport r) { r_full[i] = std::move(r); });
+    seq->transmit_pairs(test::one_pair_wave("a", "b", {msgs_seq[i]}),
+                        [&r_seq, i](std::size_t, std::size_t, TransmitReport r) {
+                          r_seq[i] = std::move(r);
+                        });
+    full->transmit_pairs(test::one_pair_wave("a", "b", {msgs_full[i]}),
+                         [&r_full, i](std::size_t, std::size_t,
+                                      TransmitReport r) {
+                           r_full[i] = std::move(r);
+                         });
   }
   seq->simulator().run();
   full->simulator().run();
-  bat->transmit_many("a", "b", std::move(msgs_bat),
-                     [&r_bat](std::size_t i, TransmitReport r) {
-                       r_bat[i] = std::move(r);
-                     });
+  bat->transmit_pairs(test::one_pair_wave("a", "b", std::move(msgs_bat)),
+                      [&r_bat](std::size_t, std::size_t i, TransmitReport r) {
+                        r_bat[i] = std::move(r);
+                      });
   bat->simulator().run();
 
   bool saw_decode_error = false;
@@ -305,16 +310,22 @@ TEST(MismatchReuseNoisy, CorruptedPayloadFallbackBitIdenticalAcrossPaths) {
 TEST_F(TransmitBatchTest, ValidationErrors) {
   // Failed validation must not mutate state — these run against both twins
   // symmetrically (i.e. not at all).
-  auto noop = [](std::size_t, TransmitReport) {};
-  EXPECT_THROW(bat_->transmit_many("a", "b", {}, noop), Error);
+  auto noop = [](std::size_t, std::size_t, TransmitReport) {};
+  EXPECT_THROW(bat_->transmit_pairs(test::one_pair_wave("a", "b", {}), noop),
+               Error);
   text::Sentence bad;
   bad.domain = 0;
   bad.surface = {1, 2, 3};
   bad.meanings = {1, 2, 3};
-  EXPECT_THROW(bat_->transmit_many("a", "b", {bad}, noop), Error);
+  EXPECT_THROW(
+      bat_->transmit_pairs(test::one_pair_wave("a", "b", {bad}), noop), Error);
   const auto msg = bat_->sample_message("a", 0);
-  EXPECT_THROW(bat_->transmit_many("a", "b", {msg}, nullptr), Error);
-  EXPECT_THROW(bat_->transmit_many("a", "nobody", {msg}, noop), Error);
+  EXPECT_THROW(
+      bat_->transmit_pairs(test::one_pair_wave("a", "b", {msg}), nullptr),
+      Error);
+  EXPECT_THROW(
+      bat_->transmit_pairs(test::one_pair_wave("a", "nobody", {msg}), noop),
+      Error);
   // Re-mirror the twins: bat_ consumed one sample_message draw above.
   (void)seq_->sample_message("a", 0);
   expect_stats_equal(seq_->stats(), bat_->stats());

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "channel/pipeline.hpp"
@@ -74,6 +75,18 @@ inline std::vector<BitVec> transmit_batch_booked(
       pipe.transmit_batch(payloads, keys, slots, sink, pool);
   pipe.fold_stats(sink);
   return received;
+}
+
+/// A serving wave of one pair: `messages` from `sender` to `receiver`
+/// (SemanticEdgeSystem::transmit_pairs' single-pair shape).
+inline std::vector<core::SemanticEdgeSystem::PairBatch> one_pair_wave(
+    std::string sender, std::string receiver,
+    std::vector<text::Sentence> messages) {
+  std::vector<core::SemanticEdgeSystem::PairBatch> wave(1);
+  wave[0].sender = std::move(sender);
+  wave[0].receiver = std::move(receiver);
+  wave[0].messages = std::move(messages);
+  return wave;
 }
 
 /// Element-wise near-equality over two float spans. Reports the first

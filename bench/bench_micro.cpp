@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // primitives: tensor matmul (square, rectangular, and allocation-free
-// variants), codec encode/decode/train (single and batched), the selector
+// variants), codec encode/decode/train (single and batched), the Adam step
+// and a whole buffer fine-tune, the selector
 // forward pass, cache get/put and eviction, gradient-sync compression,
 // Viterbi decoding, Huffman coding, quantization, and the event loop.
 #include <benchmark/benchmark.h>
@@ -19,6 +20,7 @@
 #include "edge/sim.hpp"
 #include "fl/compressor.hpp"
 #include "nn/loss.hpp"
+#include "nn/optimizer.hpp"
 #include "select/gru_classifier.hpp"
 #include "semantic/codec.hpp"
 #include "semantic/quantizer.hpp"
@@ -124,6 +126,86 @@ static void BM_CodecTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CodecTrainStep);
+
+// A codec shaped like the personalize workload's: the world's 512-word
+// slang pool makes a 622 x 20 embedding, most of the codec's floats.
+namespace {
+struct PersonalizeCodec {
+  text::World world;
+  semantic::SemanticCodec codec;
+  std::vector<semantic::Sample> samples;  // one 48-sentence buffer
+
+  explicit PersonalizeCodec(Rng& rng)
+      : world(make_world(rng)),
+        codec(config_for(world), rng) {
+    for (int i = 0; i < 48; ++i) {
+      samples.push_back(
+          semantic::CodecTrainer::draw_sample(world, 0, nullptr, rng));
+    }
+  }
+
+  static text::World make_world(Rng& rng) {
+    text::WorldConfig wc;
+    wc.slang_pool_size = 512;
+    return text::World::generate(wc, rng);
+  }
+  static semantic::CodecConfig config_for(const text::World& w) {
+    semantic::CodecConfig cc;
+    cc.surface_vocab = w.surface_count();
+    cc.meaning_vocab = w.meaning_count();
+    return cc;
+  }
+};
+}  // namespace
+
+// One Adam step over every codec parameter with a fine-tune's gradient
+// shape: dense layers fully populated, the embedding only on the rows one
+// 48-sentence buffer touches. BM_CodecTrainStep leaves the optimizer out.
+static void BM_AdamStep(benchmark::State& state) {
+  Rng rng(9);
+  PersonalizeCodec pc(rng);
+  nn::ParameterSet params = pc.codec.parameters();
+  for (nn::Parameter* p : params.params()) {
+    for (std::size_t i = 0; i < p->grad.size(); ++i) {
+      p->grad.at(i) = static_cast<float>(rng.uniform(-1e-2, 1e-2));
+    }
+  }
+  nn::Parameter& embed = *params.params()[0];
+  if (embed.value.rank() != 2 ||
+      embed.value.dim(0) != pc.world.surface_count()) {
+    state.SkipWithError("codec's first parameter is not the embedding");
+    return;
+  }
+  const std::size_t dim = embed.value.dim(1);
+  embed.grad.zero();
+  for (const semantic::Sample& s : pc.samples) {
+    for (const std::int32_t id : s.surface) {
+      const auto row = static_cast<std::size_t>(id) * dim;
+      for (std::size_t c = 0; c < dim; ++c) embed.grad.at(row + c) = 1e-3f;
+    }
+  }
+  nn::Adam adam(3e-3);
+  for (auto _ : state) {
+    adam.step(params.params());
+    benchmark::DoNotOptimize(embed.value.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(params.scalar_count()));
+}
+BENCHMARK(BM_AdamStep);
+
+// One user-model update as personalize runs it: fine-tune on a 48-sample
+// buffer for 6 epochs at batch 1 (288 forward/backward/clip/Adam steps).
+static void BM_FinetuneUpdate(benchmark::State& state) {
+  Rng rng(10);
+  PersonalizeCodec pc(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(semantic::CodecTrainer::finetune(
+        pc.codec, pc.samples, /*epochs=*/6, 3e-3, rng));
+  }
+}
+BENCHMARK(BM_FinetuneUpdate)->Unit(benchmark::kMillisecond);
 
 // Batched codec entry points: N sentences stacked as N*L rows through one
 // kernel invocation per layer. items/s counts sentences, so the per-sentence

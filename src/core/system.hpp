@@ -366,8 +366,8 @@ class SemanticEdgeSystem {
   /// Admission checks for one pair batch (non-empty, known users,
   /// message lengths); throws semcache::Error on violation. The single
   /// source of truth: transmit_pairs runs it wave-wide BEFORE any
-  /// prepare so a rejected wave is side-effect-free, prepare_pair
-  /// re-runs it for simulator-scheduled batches (fire-time state), and
+  /// prepare so a rejected wave is side-effect-free, transmit_pairs_at
+  /// re-runs it when a scheduled batch fires (fire-time state), and
   /// ParallelDispatcher fails fast at enqueue/schedule time so a queued
   /// wave can never be lost to a validation throw mid-flush.
   void validate_pair_batch(const PairBatch& batch) const;
@@ -467,9 +467,10 @@ class SemanticEdgeSystem {
   /// task as a frozen-replica serve.
   void serve_wave(std::vector<PairBatch> batches, const PairDone& on_done,
                   bool degraded);
-  /// Phase 1 (calling thread, pair order): validation, selection, cache
-  /// touches, slot establishment, global message-index assignment (a
-  /// degraded task only selects and claims indices).
+  /// Phase 1 (calling thread, pair order; the caller has validated the
+  /// batch): selection, cache touches, slot establishment, global
+  /// message-index assignment (a degraded task only selects and claims
+  /// indices).
   void prepare_pair(PairTask& task);
   /// Phase 2 (pool worker, lane-keyed by sender): the pair's batched data
   /// plane — encode/quantize/channel/decode, mismatch, buffer adds,

@@ -601,9 +601,6 @@ void SemanticEdgeSystem::validate_pair_batch(const PairBatch& batch) const {
 }
 
 void SemanticEdgeSystem::prepare_pair(PairTask& task) {
-  // Re-validate here for the simulator-scheduled path (the batch was
-  // admitted at schedule time, but fire-time state is what counts).
-  validate_pair_batch(task.batch);
   task.sprofile = &user(task.batch.sender);
   task.rprofile = &user(task.batch.receiver);
   task.sstate = &edge_state(task.sprofile->edge_index);
@@ -779,7 +776,14 @@ void SemanticEdgeSystem::transmit_pairs_at(edge::SimTime t, PairBatch batch,
   task->batch = std::move(batch);
   const std::uint64_t lane = common::stable_hash(task->batch.sender);
   sim_.schedule_concurrent_at(
-      t, lane, [this, task] { prepare_pair(*task); },
+      t, lane,
+      [this, task] {
+        // Re-validate at fire time: the batch was admitted at schedule
+        // time, but fire-time state is what counts. (An immediate wave
+        // validates once, wave-wide, in serve_wave.)
+        validate_pair_batch(task->batch);
+        prepare_pair(*task);
+      },
       [this, task] { compute_pair(*task); },
       [this, task, on_done = std::move(on_done)] {
         commit_pair(*task, on_done);

@@ -68,9 +68,15 @@ void Sgd::step(std::span<Parameter* const> params) {
 
 Adam::Adam(double lr, double beta1, double beta2, double eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
-  SEMCACHE_CHECK(lr > 0.0, "adam: lr must be positive");
+  // A finite lr and eps > 0 keep every untouched element's update at an
+  // exact +0 (rather than lr * 0 / (0 + eps) = NaN), which is what lets
+  // tensor::adam_update skip all-zero blocks.
+  SEMCACHE_CHECK(lr > 0.0 && std::isfinite(lr),
+                 "adam: lr must be positive and finite");
   SEMCACHE_CHECK(beta1 >= 0.0 && beta1 < 1.0, "adam: beta1 must be in [0,1)");
   SEMCACHE_CHECK(beta2 >= 0.0 && beta2 < 1.0, "adam: beta2 must be in [0,1)");
+  SEMCACHE_CHECK(eps > 0.0 && std::isfinite(eps),
+                 "adam: eps must be positive and finite");
 }
 
 void Adam::step(std::span<Parameter* const> params) {
@@ -86,22 +92,12 @@ void Adam::step(std::span<Parameter* const> params) {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const tensor::AdamCoeffs coeffs{lr_, beta1_, beta2_, eps_, bc1, bc2};
   for (std::size_t i = 0; i < params.size(); ++i) {
     Parameter* p = params[i];
     SEMCACHE_CHECK(m_[i].same_shape(p->value),
                    "adam: parameter list changed between steps");
-    float* pm = m_[i].data();
-    float* pv = v_[i].data();
-    float* pval = p->value.data();
-    const float* pg = p->grad.data();
-    for (std::size_t j = 0; j < p->value.size(); ++j) {
-      const double g = pg[j];
-      pm[j] = static_cast<float>(beta1_ * pm[j] + (1.0 - beta1_) * g);
-      pv[j] = static_cast<float>(beta2_ * pv[j] + (1.0 - beta2_) * g * g);
-      const double mhat = pm[j] / bc1;
-      const double vhat = pv[j] / bc2;
-      pval[j] -= static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + eps_));
-    }
+    tensor::adam_update(coeffs, p->grad, m_[i], v_[i], p->value);
   }
 }
 

@@ -40,7 +40,10 @@ class Sgd : public Optimizer {
   std::vector<tensor::Tensor> velocity_;
 };
 
-/// Adam (Kingma & Ba 2015) with bias correction.
+/// Adam (Kingma & Ba 2015) with bias correction. The per-element update
+/// runs in tensor::adam_update; lr must be positive and finite and eps
+/// positive and finite, so elements with zero gradient and moments stay
+/// exact no-ops.
 class Adam : public Optimizer {
  public:
   explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,

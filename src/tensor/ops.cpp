@@ -251,6 +251,37 @@ float max_exp_sum_scalar(const float* row, std::size_t n, float* row_max) {
          ((acc[1] + acc[5]) + (acc[3] + acc[7]));
 }
 
+// True when the n floats at p are all +0.0f (every bit clear).
+bool all_bits_zero(const float* p, std::size_t n) {
+  std::uint32_t bits = 0;
+  for (std::size_t i = 0; i < n; ++i) bits |= std::bit_cast<std::uint32_t>(p[i]);
+  return bits == 0;
+}
+
+// Scalar twin of adam_avx2 (contract in simd_kernels.hpp): the same double
+// operations per element, the two multiply-adds spelled std::fma so no
+// contraction setting can change them, and the same zero-block skip.
+void adam_scalar(const AdamCoeffs& c, std::size_t n, const float* g, float* m,
+                 float* v, float* w) {
+  const double c1 = 1.0 - c.beta1;
+  const double c2 = 1.0 - c.beta2;
+  for (std::size_t b = 0; b < n; b += detail::kZeroBlock) {
+    const std::size_t len = std::min(detail::kZeroBlock, n - b);
+    if (all_bits_zero(g + b, len) && all_bits_zero(m + b, len) &&
+        all_bits_zero(v + b, len)) {
+      continue;
+    }
+    for (std::size_t j = b; j < b + len; ++j) {
+      const double gj = g[j];
+      m[j] = static_cast<float>(std::fma(c.beta1, m[j], c1 * gj));
+      v[j] = static_cast<float>(std::fma(c.beta2, v[j], c2 * gj * gj));
+      const double mhat = m[j] / c.bc1;
+      const double vhat = v[j] / c.bc2;
+      w[j] -= static_cast<float>(c.lr * mhat / (std::sqrt(vhat) + c.eps));
+    }
+  }
+}
+
 struct SimdDispatch {
   detail::GemmFn nn = nullptr;
   detail::GemmFn tn = nullptr;
@@ -259,6 +290,7 @@ struct SimdDispatch {
   // Engaged whenever the kernels and the CPU are there: one flavor, so no
   // probe (see simd_kernels.hpp).
   detail::MaxExpSumFn max_exp_sum = nullptr;
+  detail::AdamFn adam = nullptr;
   const char* path = "scalar";
 };
 
@@ -276,6 +308,7 @@ const SimdDispatch& simd_dispatch() {
       return d;
     }
     d.max_exp_sum = kt->max_exp_sum;
+    d.adam = kt->adam;
     const bool nn_fma = probe_matches(false, kt->gemm_nn_fma);
     const bool nn_mul = !nn_fma && probe_matches(false, kt->gemm_nn_muladd);
     const bool tn_fma = probe_matches(true, kt->gemm_tn_fma);
@@ -695,7 +728,32 @@ float dot(const Tensor& a, const Tensor& b) {
   return s;
 }
 
-float l2_norm(const Tensor& a) { return std::sqrt(dot(a, a)); }
+float l2_norm(const Tensor& a) {
+  // dot(a, a)'s loop, block by block: a skipped all-zero block would add
+  // x * x = +0 to a sum that is never -0, which leaves it unchanged.
+  const float* p = a.data();
+  const std::size_t n = a.size();
+  float s = 0.0f;
+  for (std::size_t b = 0; b < n; b += detail::kZeroBlock) {
+    const std::size_t end = std::min(n, b + detail::kZeroBlock);
+    if (all_bits_zero(p + b, end - b)) continue;
+    for (std::size_t i = b; i < end; ++i) s += p[i] * p[i];
+  }
+  return std::sqrt(s);
+}
+
+void adam_update(const AdamCoeffs& c, const Tensor& grad, Tensor& m,
+                 Tensor& v, Tensor& value) {
+  SEMCACHE_CHECK(grad.size() == value.size() && m.size() == value.size() &&
+                     v.size() == value.size(),
+                 "adam_update: size mismatch");
+  const SimdDispatch& d = simd_dispatch();
+  const detail::AdamFn kernel =
+      d.adam != nullptr && common::active_simd_tier() == common::SimdTier::kAvx2
+          ? d.adam
+          : adam_scalar;
+  kernel(c, value.size(), grad.data(), m.data(), v.data(), value.data());
+}
 
 Tensor column_sums(const Tensor& a) {
   SEMCACHE_CHECK(a.rank() == 2, "column_sums: rank-2 required");

@@ -102,8 +102,23 @@ float sum(const Tensor& a);
 float mean(const Tensor& a);
 /// Dot product of two same-shape tensors viewed flat.
 float dot(const Tensor& a, const Tensor& b);
-/// L2 norm over all elements.
+/// L2 norm over all elements: sqrt(dot(a, a)) bit for bit (the same
+/// serial ascending float sum), skipping 8-float blocks whose bits are all
+/// zero, which would each add exactly +0.
 float l2_norm(const Tensor& a);
+
+/// One step's constants for adam_update (see nn::Adam): learning rate,
+/// moment decays, epsilon, and the bias corrections bc = 1 - beta^t.
+struct AdamCoeffs {
+  double lr, beta1, beta2, eps, bc1, bc2;
+};
+/// One Adam step over one parameter, in place: m and v take the gradient's
+/// moments, value the bias-corrected update. The scalar and AVX2 tiers are
+/// bit-identical, and all-zero blocks of (grad, m, v) are skipped as the
+/// exact no-ops they are (contract in tensor/simd_kernels.hpp). Requires
+/// eps > 0 and a finite lr, which nn::Adam checks.
+void adam_update(const AdamCoeffs& c, const Tensor& grad, Tensor& m,
+                 Tensor& v, Tensor& value);
 
 /// Sum rows of a rank-2 tensor into a rank-1 tensor of length cols.
 Tensor column_sums(const Tensor& a);

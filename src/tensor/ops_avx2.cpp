@@ -1,7 +1,8 @@
-// AVX2/FMA micro-kernels for the matmul family. This TU is compiled with
-// -mavx2 -mfma -ffp-contract=off (see CMakeLists.txt) and is the only one
-// carrying AVX2 code; everything here is reached through the kernel table in
-// simd_kernels.hpp after ops.cpp's equivalence probe picks a flavor.
+// AVX2/FMA micro-kernels for the matmul family, plus the log-sum-exp and
+// Adam-step kernels. This TU is compiled with -mavx2 -mfma
+// -ffp-contract=off (see CMakeLists.txt) and is the only one carrying AVX2
+// code; everything here is reached through the kernel table in
+// simd_kernels.hpp (the gemm flavors after ops.cpp's equivalence probe).
 //
 // Shape of the kernel: C accumulators live in ymm registers across the whole
 // k panel (6 rows x 16 columns = 12 independent FMA chains, enough to hide
@@ -20,6 +21,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+
+#include "tensor/ops.hpp"  // AdamCoeffs
 
 namespace semcache::tensor::detail {
 namespace {
@@ -332,6 +335,85 @@ float max_exp_sum_avx2(const float* row, std::size_t n, float* row_max) {
   return _mm_cvtss_f32(s);
 }
 
+static_assert(kZeroBlock == 8, "adam_avx2 skips one ymm of floats at a time");
+
+// Adam's per-step constants, broadcast once per call.
+struct AdamLanes {
+  __m256d beta1, beta2, c1, c2, bc1, bc2, lr, eps;
+};
+
+// Four elements of the Adam update (contract in simd_kernels.hpp): each
+// _mm256_*_pd op is the scalar twin's double op, lane by lane.
+inline __m128 adam_quad(const AdamLanes& k, __m128 g, __m128& m, __m128& v,
+                        __m128 w) {
+  const __m256d gd = _mm256_cvtps_pd(g);
+  m = _mm256_cvtpd_ps(
+      _mm256_fmadd_pd(k.beta1, _mm256_cvtps_pd(m), _mm256_mul_pd(k.c1, gd)));
+  v = _mm256_cvtpd_ps(_mm256_fmadd_pd(
+      k.beta2, _mm256_cvtps_pd(v), _mm256_mul_pd(_mm256_mul_pd(k.c2, gd), gd)));
+  const __m256d mhat = _mm256_div_pd(_mm256_cvtps_pd(m), k.bc1);
+  const __m256d vhat = _mm256_div_pd(_mm256_cvtps_pd(v), k.bc2);
+  const __m256d step =
+      _mm256_div_pd(_mm256_mul_pd(k.lr, mhat),
+                    _mm256_add_pd(_mm256_sqrt_pd(vhat), k.eps));
+  return _mm_sub_ps(w, _mm256_cvtpd_ps(step));
+}
+
+// One 8-float block; false (nothing computed) when g, m and v are all +0.
+inline bool adam_block(const AdamLanes& k, __m256 g, __m256& m, __m256& v,
+                       __m256& w) {
+  const __m256i bits =
+      _mm256_castps_si256(_mm256_or_ps(_mm256_or_ps(g, m), v));
+  if (_mm256_testz_si256(bits, bits)) return false;
+  __m128 m_lo = _mm256_castps256_ps128(m);
+  __m128 m_hi = _mm256_extractf128_ps(m, 1);
+  __m128 v_lo = _mm256_castps256_ps128(v);
+  __m128 v_hi = _mm256_extractf128_ps(v, 1);
+  const __m128 w_lo = adam_quad(k, _mm256_castps256_ps128(g), m_lo, v_lo,
+                                _mm256_castps256_ps128(w));
+  const __m128 w_hi = adam_quad(k, _mm256_extractf128_ps(g, 1), m_hi, v_hi,
+                                _mm256_extractf128_ps(w, 1));
+  m = _mm256_set_m128(m_hi, m_lo);
+  v = _mm256_set_m128(v_hi, v_lo);
+  w = _mm256_set_m128(w_hi, w_lo);
+  return true;
+}
+
+void adam_avx2(const AdamCoeffs& c, std::size_t n, const float* g, float* m,
+               float* v, float* w) {
+  const AdamLanes k = {
+      _mm256_set1_pd(c.beta1),       _mm256_set1_pd(c.beta2),
+      _mm256_set1_pd(1.0 - c.beta1), _mm256_set1_pd(1.0 - c.beta2),
+      _mm256_set1_pd(c.bc1),         _mm256_set1_pd(c.bc2),
+      _mm256_set1_pd(c.lr),          _mm256_set1_pd(c.eps)};
+  const std::size_t full = n & ~std::size_t{7};
+  for (std::size_t j = 0; j < full; j += 8) {
+    __m256 m8 = _mm256_loadu_ps(m + j);
+    __m256 v8 = _mm256_loadu_ps(v + j);
+    __m256 w8 = _mm256_loadu_ps(w + j);
+    if (adam_block(k, _mm256_loadu_ps(g + j), m8, v8, w8)) {
+      _mm256_storeu_ps(m + j, m8);
+      _mm256_storeu_ps(v + j, v8);
+      _mm256_storeu_ps(w + j, w8);
+    }
+  }
+  const std::size_t rem = n - full;
+  if (rem != 0) {
+    // Masked-off lanes load +0, so they neither defeat the skip nor get
+    // stored.
+    const __m256i mask = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(kTailMask + 8 - rem));
+    __m256 m8 = _mm256_maskload_ps(m + full, mask);
+    __m256 v8 = _mm256_maskload_ps(v + full, mask);
+    __m256 w8 = _mm256_maskload_ps(w + full, mask);
+    if (adam_block(k, _mm256_maskload_ps(g + full, mask), m8, v8, w8)) {
+      _mm256_maskstore_ps(m + full, mask, m8);
+      _mm256_maskstore_ps(v + full, mask, v8);
+      _mm256_maskstore_ps(w + full, mask, w8);
+    }
+  }
+}
+
 constexpr Avx2TensorKernels kKernels = {
     /*gemm_nn_fma=*/gemm<true, false>,
     /*gemm_nn_muladd=*/gemm<false, false>,
@@ -340,6 +422,7 @@ constexpr Avx2TensorKernels kKernels = {
     /*bias=*/bias_avx2,
     /*bias_relu=*/bias_relu_avx2,
     /*max_exp_sum=*/max_exp_sum_avx2,
+    /*adam=*/adam_avx2,
 };
 
 }  // namespace

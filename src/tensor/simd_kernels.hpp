@@ -18,6 +18,10 @@
 
 #include <cstddef>
 
+namespace semcache::tensor {
+struct AdamCoeffs;  // tensor/ops.hpp
+}  // namespace semcache::tensor
+
 namespace semcache::tensor::detail {
 
 /// c (m x n) += a * b, identical contract to the scalar gemm_nn/gemm_tn in
@@ -44,6 +48,22 @@ using EpilogueFn = void (*)(std::size_t m, std::size_t n, const float* bias,
 using MaxExpSumFn = float (*)(const float* row, std::size_t n,
                               float* row_max);
 
+/// One Adam step over n elements (tensor::adam_update): g is the gradient,
+/// m and v the moments, w the weights, all updated in place. One flavor,
+/// because both tiers spell the same operations in the same order, in
+/// double: m' = float(fma(b1, m, (1-b1) g)), v' = float(fma(b2, v,
+/// ((1-b2) g) g)), then w -= float((lr (m'/bc1)) / (sqrt(v'/bc2) + eps)).
+/// Every op is correctly rounded and element-local, so the AVX2 kernel's
+/// 4 x double lanes match the scalar twin in ops.cpp bit for bit. Both
+/// skip each aligned 8-float block (and the short tail block) whose g, m
+/// and v bits are all zero: with m = v = g = +0 the update writes +0, +0
+/// and w - (+0) = w, so the skip is exact for any eps > 0 and finite lr.
+using AdamFn = void (*)(const AdamCoeffs& c, std::size_t n, const float* g,
+                        float* m, float* v, float* w);
+
+/// Elements per zero-skip block of the Adam kernels and tensor::l2_norm.
+inline constexpr std::size_t kZeroBlock = 8;
+
 /// Constants of the polynomial exp both max_exp_sum tiers evaluate (the
 /// Cephes expf scheme): clamp x at kExpMin so 2^n stays a normal float,
 /// n = round(x log2 e), r = x - n ln2 in two fused steps (kExpLn2Hi is
@@ -65,6 +85,7 @@ struct Avx2TensorKernels {
   EpilogueFn bias;
   EpilogueFn bias_relu;
   MaxExpSumFn max_exp_sum;
+  AdamFn adam;
 };
 
 /// The AVX2 kernel table, or nullptr when this build carries no AVX2 code

@@ -3,13 +3,21 @@
 // differences, which is what makes the explicit-backward design trustworthy.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
+
+#include "common/cpu.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/gru.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
+#include "semantic/trainer.hpp"
 #include "tensor/ops.hpp"
+#include "test_util.hpp"
 
 namespace semcache::nn {
 namespace {
@@ -340,6 +348,136 @@ TEST(Optimizer, ClipGradNorm) {
   EXPECT_NEAR(tensor::l2_norm(p.grad), 0.5f, 1e-6f);
 }
 
+TEST(Optimizer, AdamRejectsNonPositiveEps) {
+  EXPECT_THROW(Adam(1e-3, 0.9, 0.999, 0.0), Error);
+  EXPECT_THROW(Adam(1e-3, 0.9, 0.999, -1e-8), Error);
+  EXPECT_THROW(Adam(1e-3, 0.9, 0.999, std::nan("")), Error);
+  EXPECT_THROW(Adam(1e-3, 0.9, 0.999, std::numeric_limits<double>::infinity()),
+               Error);
+  EXPECT_THROW(Adam(std::numeric_limits<double>::infinity()), Error);
+  EXPECT_NO_THROW(Adam(1e-3, 0.9, 0.999, 1e-8));
+}
+
+constexpr common::SimdTier kTiers[] = {common::SimdTier::kScalar,
+                                       common::SimdTier::kAvx2};
+
+// nn::Adam's per-element update written out plainly: no block skip, one
+// element at a time, and the two multiply-adds that Release builds contract
+// spelled std::fma.
+void reference_adam(const tensor::AdamCoeffs& c, const Tensor& grad,
+                    Tensor& m, Tensor& v, Tensor& w) {
+  for (std::size_t j = 0; j < w.size(); ++j) {
+    const double g = grad.at(j);
+    m.at(j) = static_cast<float>(std::fma(c.beta1, m.at(j), (1.0 - c.beta1) * g));
+    v.at(j) =
+        static_cast<float>(std::fma(c.beta2, v.at(j), (1.0 - c.beta2) * g * g));
+    const double mhat = m.at(j) / c.bc1;
+    const double vhat = v.at(j) / c.bc2;
+    w.at(j) -= static_cast<float>(c.lr * mhat / (std::sqrt(vhat) + c.eps));
+  }
+}
+
+// Embedding-like gradients: most rows all-zero, a few touched rows (some
+// entries -0.0f), and stray -0.0f entries in otherwise untouched rows.
+void fill_sparse_grad(Tensor& g, std::size_t cols, Rng& rng) {
+  g.fill(0.0f);
+  const std::size_t rows = g.size() / cols;
+  const std::size_t touched = 1 + rows / 16;
+  for (std::size_t t = 0; t < touched; ++t) {
+    const auto r = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(rows) - 1));
+    for (std::size_t c = 0; c < cols; ++c) {
+      g.at(r * cols + c) =
+          rng.bernoulli(0.2) ? -0.0f : static_cast<float>(rng.gaussian());
+    }
+  }
+  const auto stray = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(g.size()) - 1));
+  g.at(stray) = -0.0f;
+}
+
+TEST(Optimizer, AdamKernelMatchesReference) {
+  // A 622 x 20 embedding, then sizes that are not multiples of 4 or 8.
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {622, 20}, {13, 1}, {7, 1}, {3, 1}, {1, 1}, {29, 3}, {5, 9}};
+  for (const common::SimdTier tier : kTiers) {
+    test::TierGuard guard(tier);
+    Rng rng(31);
+    std::vector<Tensor> grads, w_ref, m_ref, v_ref, w, m, v;
+    std::vector<std::unique_ptr<Parameter>> params;
+    std::vector<Parameter*> param_ptrs;
+    for (const auto& [rows, cols] : shapes) {
+      const Tensor init = Tensor::uniform({rows, cols}, 0.5f, rng);
+      grads.push_back(Tensor::zeros({rows, cols}));
+      w_ref.push_back(init);
+      w.push_back(init);
+      for (auto* moments : {&m_ref, &v_ref, &m, &v}) {
+        moments->push_back(Tensor::zeros({rows, cols}));
+      }
+      params.push_back(std::make_unique<Parameter>("p", init));
+      param_ptrs.push_back(params.back().get());
+    }
+    Adam adam(3e-3);
+    for (std::size_t t = 1; t <= 300; ++t) {
+      const tensor::AdamCoeffs c{3e-3, 0.9, 0.999, 1e-8,
+                                 1.0 - std::pow(0.9, static_cast<double>(t)),
+                                 1.0 - std::pow(0.999, static_cast<double>(t))};
+      for (std::size_t i = 0; i < shapes.size(); ++i) {
+        // Small tensors also go quiet now and then: all-zero gradients
+        // while their moments are still live.
+        if (i > 0 && t % 7 == 0) {
+          grads[i].fill(0.0f);
+        } else {
+          fill_sparse_grad(grads[i], shapes[i].second, rng);
+        }
+        reference_adam(c, grads[i], m_ref[i], v_ref[i], w_ref[i]);
+        tensor::adam_update(c, grads[i], m[i], v[i], w[i]);
+        params[i]->grad = grads[i];
+      }
+      adam.step(param_ptrs);
+    }
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      SCOPED_TRACE(std::string(common::simd_tier_name(tier)) + " tensor " +
+                   std::to_string(i));
+      EXPECT_TRUE(test::BitEqual(w[i], w_ref[i]));
+      EXPECT_TRUE(test::BitEqual(m[i], m_ref[i]));
+      EXPECT_TRUE(test::BitEqual(v[i], v_ref[i]));
+      EXPECT_TRUE(test::BitEqual(params[i]->value, w_ref[i]));
+    }
+  }
+}
+
+TEST(Optimizer, ClipGradNormSkipsZeroBlocksExactly) {
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {622, 20}, {13, 1}, {29, 3}, {48, 160}};
+  for (const common::SimdTier tier : kTiers) {
+    test::TierGuard guard(tier);
+    Rng rng(37);
+    std::vector<std::unique_ptr<Parameter>> params;
+    std::vector<Parameter*> param_ptrs;
+    for (const auto& [rows, cols] : shapes) {
+      params.push_back(
+          std::make_unique<Parameter>("p", Tensor::zeros({rows, cols})));
+      fill_sparse_grad(params.back()->grad, cols, rng);
+      param_ptrs.push_back(params.back().get());
+    }
+    // One parameter with no gradient at all.
+    params.push_back(std::make_unique<Parameter>("z", Tensor::zeros({17})));
+    param_ptrs.push_back(params.back().get());
+
+    double sq = 0.0;
+    for (const Parameter* p : param_ptrs) {
+      const double n = std::sqrt(tensor::dot(p->grad, p->grad));
+      sq += n * n;
+    }
+    const double expected = std::sqrt(sq);
+    const double norm = Optimizer::clip_grad_norm(param_ptrs, 1e30);
+    EXPECT_EQ(std::memcmp(&norm, &expected, sizeof(double)), 0)
+        << common::simd_tier_name(tier) << ": " << norm << " vs " << expected;
+    EXPECT_GT(norm, 0.0);
+  }
+}
+
 TEST(Optimizer, ZeroGrad) {
   Parameter p("p", Tensor({2}));
   p.grad = Tensor({2}, {1.0f, 2.0f});
@@ -375,6 +513,30 @@ TEST(Training, XorConverges) {
   EXPECT_LT(loss, 0.05);
   const auto pred = tensor::row_argmax(mlp.forward(x));
   EXPECT_EQ(pred, labels);
+}
+
+TEST(Training, FinetuneIdenticalAcrossSimdTiers) {
+  Rng world_rng(41);
+  const text::World world = text::World::generate(text::WorldConfig{}, world_rng);
+  std::vector<std::vector<float>> trained;
+  for (const common::SimdTier tier : kTiers) {
+    test::TierGuard guard(tier);
+    Rng rng(43);
+    semantic::SemanticCodec codec(
+        test::codec_for_world(world, /*embed_dim=*/20, /*feature_dim=*/16), rng);
+    std::vector<semantic::Sample> samples;
+    for (int i = 0; i < 24; ++i) {
+      samples.push_back(
+          semantic::CodecTrainer::draw_sample(world, 1, nullptr, rng));
+    }
+    semantic::CodecTrainer::finetune(codec, samples, /*epochs=*/3, 3e-3, rng,
+                                     /*feature_noise=*/0.02);
+    trained.push_back(codec.parameters().flatten_values());
+  }
+  ASSERT_EQ(trained[0].size(), trained[1].size());
+  EXPECT_EQ(std::memcmp(trained[0].data(), trained[1].data(),
+                        trained[0].size() * sizeof(float)),
+            0);
 }
 
 TEST(ParameterSet, FlattenUnflattenRoundTrip) {

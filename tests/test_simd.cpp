@@ -39,40 +39,12 @@ using channel::Modulation;
 using channel::Symbol;
 using tensor::Tensor;
 
-/// RAII tier override: restores the prior tier even when an assertion
-/// bails out of the test body early.
-class TierGuard {
- public:
-  explicit TierGuard(common::SimdTier tier)
-      : prev_(common::set_simd_tier(tier)) {}
-  ~TierGuard() { common::set_simd_tier(prev_); }
-  TierGuard(const TierGuard&) = delete;
-  TierGuard& operator=(const TierGuard&) = delete;
-
- private:
-  common::SimdTier prev_;
-};
+using test::BitEqual;
+using test::TierGuard;
 
 bool avx2_host() {
   const common::CpuFeatures& f = common::cpu_features();
   return f.avx2 && f.fma;
-}
-
-::testing::AssertionResult BitEqual(const Tensor& a, const Tensor& b) {
-  if (!a.same_shape(b)) {
-    return ::testing::AssertionFailure() << "shape mismatch";
-  }
-  if (std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0) {
-    return ::testing::AssertionSuccess();
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::memcmp(&a.data()[i], &b.data()[i], sizeof(float)) != 0) {
-      return ::testing::AssertionFailure()
-             << "first diff at flat index " << i << ": " << a.data()[i]
-             << " vs " << b.data()[i];
-    }
-  }
-  return ::testing::AssertionFailure() << "memcmp/elementwise disagree";
 }
 
 Tensor random_tensor(std::size_t rows, std::size_t cols, Rng& rng) {

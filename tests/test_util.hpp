@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <span>
 #include <string>
@@ -19,6 +20,7 @@
 
 #include "channel/pipeline.hpp"
 #include "common/bits.hpp"
+#include "common/cpu.hpp"
 #include "common/rng.hpp"
 #include "core/system.hpp"
 #include "tensor/tensor.hpp"
@@ -121,6 +123,39 @@ inline ::testing::AssertionResult AllNear(const tensor::Tensor& a,
   return AllNear(std::span<const float>(a.data(), a.size()),
                  std::span<const float>(b.data(), b.size()), tol);
 }
+
+/// Bitwise tensor equality (memcmp), naming the first differing element.
+inline ::testing::AssertionResult BitEqual(const tensor::Tensor& a,
+                                           const tensor::Tensor& b) {
+  if (!a.same_shape(b)) {
+    return ::testing::AssertionFailure() << "shape mismatch";
+  }
+  if (std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a.data()[i], &b.data()[i], sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "first diff at flat index " << i << ": " << a.data()[i]
+             << " vs " << b.data()[i];
+    }
+  }
+  return ::testing::AssertionFailure() << "memcmp/elementwise disagree";
+}
+
+/// RAII SIMD-tier override (common::set_simd_tier): restores the prior
+/// tier even when an assertion bails out of the test body early.
+class TierGuard {
+ public:
+  explicit TierGuard(common::SimdTier tier)
+      : prev_(common::set_simd_tier(tier)) {}
+  ~TierGuard() { common::set_simd_tier(prev_); }
+  TierGuard(const TierGuard&) = delete;
+  TierGuard& operator=(const TierGuard&) = delete;
+
+ private:
+  common::SimdTier prev_;
+};
 
 /// Codec config sized for a generated world, with the small 16/12/32
 /// dims the suites standardize on. Vocab sizes and sentence length come
